@@ -34,7 +34,7 @@ var defaultHandle struct {
 // created (never expected; callers fall back to the cold path).
 func defaultRuntime() (*runtime.Runtime, *runtime.DatabaseEntry, bool) {
 	defaultHandle.once.Do(func() {
-		rt := runtime.New(runtime.Config{}, nil)
+		rt := runtime.NewWithSink(runtime.Config{}, nil)
 		entry, _, err := rt.Registry().RegisterParsed("cdb.default", "", &Database{})
 		if err != nil {
 			rt.Close()

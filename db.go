@@ -40,20 +40,19 @@ var ErrClosed = errors.New("cdb: database handle is closed")
 
 // ErrNeedsProjection reports a query whose sampling plan requires the
 // projection generator (Algorithm 2) and therefore has no cacheable
-// prepared sampler. DB.Sampler returns it; SampleN, Samples and Volume
-// transparently fall back to a per-call query engine instead.
+// prepared sampler. DB.Sampler and Expr.Sampler return it; SampleN,
+// Samples and Volume run such plans on a per-call query engine instead.
 var ErrNeedsProjection = runtime.ErrNeedsProjection
 
 // dbConfig collects the functional options of Open/OpenDatabase.
 type dbConfig struct {
-	opts        Options
-	cacheSize   int
-	poolSize    int
-	workers     int
-	prepSeed    uint64
-	prepSeedSet bool
-	audit       AuditConfig
-	auditSet    bool
+	opts      Options
+	cacheSize int
+	poolSize  int
+	workers   int
+	prepSeed  *uint64 // nil: derived from the cache key
+	audit     AuditConfig
+	auditSet  bool
 }
 
 // Option configures a DB handle at Open time.
@@ -104,7 +103,7 @@ func WithWorkers(n int) Option {
 // always use the key-derived seed, keeping their replies shared across
 // handles regardless of this option.
 func WithPrepSeed(seed uint64) Option {
-	return func(c *dbConfig) { c.prepSeed = seed; c.prepSeedSet = true }
+	return func(c *dbConfig) { c.prepSeed = &seed }
 }
 
 // WithAudit starts the handle's background self-audit: a small worker
@@ -256,8 +255,7 @@ type DB struct {
 	workers int
 	hooks   *dbHooks
 
-	prepSeed    uint64
-	prepSeedSet bool
+	prepSeed *uint64 // nil: derived from the cache key
 
 	seedBase uint64
 	seq      atomic.Uint64
@@ -308,20 +306,19 @@ func openEntry(database *Database, src string, options []Option) (*DB, error) {
 		workers = min(4, rt.Pool().Size())
 	}
 	h := &DB{
-		rt:          rt,
-		entry:       entry,
-		opts:        cfg.opts,
-		workers:     workers,
-		hooks:       hooks,
-		prepSeed:    cfg.prepSeed,
-		prepSeedSet: cfg.prepSeedSet,
+		rt:       rt,
+		entry:    entry,
+		opts:     cfg.opts,
+		workers:  workers,
+		hooks:    hooks,
+		prepSeed: cfg.prepSeed,
 	}
 	// Per-call sampling seeds derive from a base that is itself a pure
 	// function of the program and options, so a fixed call sequence on a
 	// fresh handle is reproducible run to run.
 	h.seedBase = runtime.PrepSeedFor(runtime.SamplerKey(entry.ID, "seedbase", src, cfg.opts.CacheKey()))
-	if cfg.prepSeedSet {
-		h.seedBase = cfg.prepSeed
+	if cfg.prepSeed != nil {
+		h.seedBase = *cfg.prepSeed
 	}
 	return h, nil
 }
@@ -397,32 +394,15 @@ func (db *DB) check(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// targetArgs resolves name against the program: declared relations are
-// sampled directly, query names go through the sampling planner.
-func (db *DB) targetArgs(name string) (relName, queryName string) {
-	if _, ok := db.entry.DB.Relation(name); ok {
-		return name, ""
-	}
-	if _, ok := db.entry.DB.Query(name); ok {
-		return "", name
-	}
-	// Let the runtime produce its canonical not-found error.
-	return name, ""
-}
-
-// prepared returns the warm sampler for a relation or query name under
-// the given options, building (and caching) it on first use.
-func (db *DB) prepared(ctx context.Context, name string, opts Options) (*PreparedSampler, string, error) {
-	if err := db.check(ctx); err != nil {
-		return nil, "", err
-	}
-	relName, queryName := db.targetArgs(name)
-	if db.prepSeedSet {
-		ps, key, _, err := db.rt.PreparedForWithSeed(db.entry, relName, queryName, opts, db.prepSeed)
-		return ps, key, err
-	}
-	ps, key, _, err := db.rt.PreparedFor(db.entry, relName, queryName, opts)
-	return ps, key, err
+// named returns the expression for a relation or query name under the
+// call's options. Its canonical plan comes from the runtime's memoized
+// name resolver, so a named call is exactly db.Rel(name) without the
+// per-call compile.
+func (db *DB) named(name string, copts []CallOption) *Expr {
+	opts := db.callOpts(copts)
+	e := &Expr{db: db, node: query.NewRel(name), opts: &opts}
+	e.compileOnce.Do(func() { e.cp, e.cerr = db.entry.Plan(name) })
+	return e
 }
 
 // Sampler returns the prepared (warm) sampler for a relation or query
@@ -434,8 +414,7 @@ func (db *DB) prepared(ctx context.Context, name string, opts Options) (*Prepare
 // CallOptions) key into the cache, so each distinct configuration warms
 // its own entry.
 func (db *DB) Sampler(ctx context.Context, name string, copts ...CallOption) (*PreparedSampler, error) {
-	ps, _, err := db.prepared(ctx, name, db.callOpts(copts))
-	return ps, err
+	return db.named(name, copts).Sampler(ctx)
 }
 
 // SampleN draws n almost-uniform points from the named relation or
@@ -449,44 +428,11 @@ func (db *DB) SampleN(ctx context.Context, name string, n int, copts ...CallOpti
 // SampleNSeeded is SampleN with an explicit base seed: the output is
 // deterministic in (program, target, options, n, workers, seed), and
 // byte-identical concurrent draws are coalesced into a single
-// execution. Projection-needing queries (no cacheable sampler) run
+// execution. It returns exactly what db.Rel(name).SampleNSeeded
+// returns; projection-needing queries (no cacheable sampler) run
 // sequentially on a per-call engine instead of the pool.
 func (db *DB) SampleNSeeded(ctx context.Context, name string, n int, seed uint64, copts ...CallOption) ([]Vector, error) {
-	opts := db.callOpts(copts)
-	ps, key, err := db.prepared(ctx, name, opts)
-	if errors.Is(err, ErrNeedsProjection) {
-		return db.querySampleN(ctx, name, n, seed, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pts, _, err := db.rt.Executor().SampleManyCtx(ctx, key, ps, n, db.workers, seed)
-	return pts, err
-}
-
-// querySampleN draws n samples sequentially from a query engine
-// observable — the fallback for plans that need Algorithm 2.
-func (db *DB) querySampleN(ctx context.Context, name string, n int, seed uint64, opts Options) ([]Vector, error) {
-	q, ok := db.entry.DB.Query(name)
-	if !ok {
-		return nil, fmt.Errorf("cdb: query %q not found", name)
-	}
-	obs, err := db.engineWith(ctx, seed, opts).Observable(q)
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]Vector, 0, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		x, err := obs.Sample()
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, x)
-	}
-	return pts, nil
+	return db.named(name, copts).SampleNSeeded(ctx, n, seed)
 }
 
 // Samples streams almost-uniform points from the named relation or
@@ -503,76 +449,19 @@ func (db *DB) querySampleN(ctx context.Context, name string, n int, seed uint64,
 //	    if enough { break }
 //	}
 func (db *DB) Samples(ctx context.Context, name string, copts ...CallOption) iter.Seq2[Vector, error] {
-	seed := db.nextSeed()
-	opts := db.callOpts(copts)
-	return func(yield func(Vector, error) bool) {
-		var obs Observable
-		ps, _, err := db.prepared(ctx, name, opts)
-		switch {
-		case errors.Is(err, ErrNeedsProjection):
-			// No cacheable sampler: stream from a per-call engine.
-			q, _ := db.entry.DB.Query(name)
-			obs, err = db.engineWith(ctx, seed, opts).Observable(q)
-		case err == nil:
-			obs, err = ps.NewObservableCtx(ctx, seed)
-		}
-		if err != nil {
-			yield(nil, err)
-			return
-		}
-		for {
-			if err := ctx.Err(); err != nil {
-				yield(nil, err)
-				return
-			}
-			x, err := obs.Sample()
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			if !yield(x, nil) {
-				return
-			}
-		}
-	}
+	return db.named(name, copts).Samples(ctx)
 }
 
 // Volume returns the (ε, δ)-relative volume estimate of the named
-// relation or query from the warm geometry. Single-tuple relations
-// surface the preparation-time estimate directly (no walker is bound);
-// unions run the Karp–Luby acceptance pass under a seed derived from
-// the cache key, so the result is deterministic per
+// relation or query — exactly db.Rel(name).Volume. Single-tuple
+// relations surface the preparation-time estimate directly (no walker
+// is bound); unions run the Karp–Luby acceptance pass, and
+// projection-needing queries a per-call engine, under a seed derived
+// from the cache key, so the result is deterministic per
 // (program, target, options). A provably empty (or measure-zero)
-// target returns 0 — the same contract as Expr.Volume; replays serve
-// the cached verdict in O(1).
+// target returns 0; replays serve the cached verdict in O(1).
 func (db *DB) Volume(ctx context.Context, name string, copts ...CallOption) (float64, error) {
-	opts := db.callOpts(copts)
-	ps, key, err := db.prepared(ctx, name, opts)
-	if errors.Is(err, ErrEmptyExpr) {
-		// The empty set has volume 0 — same contract as Expr.Volume;
-		// replays serve the cached verdict.
-		return 0, nil
-	}
-	if errors.Is(err, ErrNeedsProjection) {
-		// No prepared sampler exists for a projection plan; run the
-		// engine path under a key-derived seed so the determinism
-		// contract above still holds. A pinned WithPrepSeed folds in,
-		// mirroring the prepared path.
-		q, _ := db.entry.DB.Query(name)
-		seed := runtime.PrepSeedFor(runtime.SamplerKey(db.entry.ID, "queryvol", name, opts.CacheKey()))
-		if db.prepSeedSet {
-			seed = db.prepSeed + runtime.PrepSeedFor("queryvol\x1f"+name)
-		}
-		return db.engineWith(ctx, seed, opts).EstimateVolume(q)
-	}
-	if err != nil {
-		return 0, err
-	}
-	v, acc, accOK, err := ps.VolumeWithAccuracy(ctx, runtime.PrepSeedFor(key+"\x1fvolume"))
-	if err == nil && accOK {
-		db.rt.RecordVolumeAccuracy(key, acc)
-	}
-	return v, err
+	return db.named(name, copts).Volume(ctx)
 }
 
 // Query returns a generator/estimator for a named query via its

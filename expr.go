@@ -251,48 +251,45 @@ func (e *Expr) CanonicalKey() (string, error) {
 	return cp.Key, nil
 }
 
-// prepared resolves the warm sampler for the expression through the
-// shared runtime, keyed by the canonical plan hash. Under a traced
-// context the compile + prepare stage appears as an "expr.prepare"
-// span carrying the cache key and whether the sampler was warm.
-func (e *Expr) prepared(ctx context.Context) (*PreparedSampler, string, *query.CanonicalPlan, error) {
+// exec compiles the expression and resolves its canonical plan against
+// the prepared cache through the runtime's plan executor, which decides
+// how every terminal below runs. Under a traced context the compile +
+// prepare stage appears as an "expr.prepare" span carrying the cache
+// key and whether the sampler was warm.
+func (e *Expr) exec(ctx context.Context) (*runtime.Exec, error) {
 	if err := e.db.check(ctx); err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
 	_, span := obs.Start(ctx, "expr.prepare")
 	defer span.End()
 	cp, err := e.compile()
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
 	span.Set("compile_nanos", e.compileNanos)
-	opts := e.effectiveOptions()
-	var (
-		ps  *PreparedSampler
-		key string
-		hit bool
-	)
-	if e.db.prepSeedSet {
-		ps, key, hit, err = e.db.rt.PreparedPlanWithSeed(e.db.entry, cp, opts, e.db.prepSeed)
-	} else {
-		ps, key, hit, err = e.db.rt.PreparedPlan(e.db.entry, cp, opts)
+	x, err := e.db.rt.Exec(e.db.entry, cp, e.effectiveOptions(), e.db.prepSeed)
+	if err != nil {
+		return nil, err
 	}
-	span.SetKey(key)
-	if hit {
+	span.SetKey(x.Key)
+	if x.Hit {
 		span.Set("cache_hit", 1)
 	}
-	return ps, key, cp, err
+	return x, nil
 }
 
 // Sampler returns the prepared (warm) sampler for the expression —
 // rounding, well-boundedness witnesses and per-tuple volume estimates
 // computed once and cached under the canonical plan key. Expressions
 // needing the projection generator return ErrNeedsProjection (SampleN,
-// Samples and Volume fall back transparently); provably empty
+// Samples and Volume run them on a per-call engine); provably empty
 // expressions return ErrEmptyExpr.
 func (e *Expr) Sampler(ctx context.Context) (*PreparedSampler, error) {
-	ps, _, _, err := e.prepared(ctx)
-	return ps, err
+	x, err := e.exec(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return x.Sampler()
 }
 
 // SampleN draws n almost-uniform points of the expression on the
@@ -310,38 +307,13 @@ func (e *Expr) SampleN(ctx context.Context, n int) ([]Vector, error) {
 func (e *Expr) SampleNSeeded(ctx context.Context, n int, seed uint64) ([]Vector, error) {
 	ctx, span := obs.Start(ctx, "expr.sample")
 	defer span.End()
-	ps, key, cp, err := e.prepared(ctx)
-	if errors.Is(err, ErrNeedsProjection) {
-		span.Set("projection", 1)
-		return e.engineSampleN(ctx, cp, n, seed)
-	}
+	x, err := e.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
-	span.SetKey(key)
-	pts, _, err := e.db.rt.Executor().SampleManyCtx(ctx, key, ps, n, e.db.workers, seed)
+	span.SetKey(x.Key)
+	pts, _, err := x.SampleN(ctx, n, e.db.workers, seed)
 	return pts, err
-}
-
-// engineSampleN draws n samples sequentially from a per-call engine
-// observable over the canonical plan — the Algorithm 2 fallback.
-func (e *Expr) engineSampleN(ctx context.Context, cp *query.CanonicalPlan, n int, seed uint64) ([]Vector, error) {
-	obs, err := e.db.engineWith(ctx, seed, e.effectiveOptions()).ObservableFromPlan(cp.Plan)
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]Vector, 0, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		x, err := obs.Sample()
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, x)
-	}
-	return pts, nil
 }
 
 // Samples streams almost-uniform points of the expression as a Go
@@ -350,13 +322,10 @@ func (e *Expr) engineSampleN(ctx context.Context, cp *query.CanonicalPlan, n int
 func (e *Expr) Samples(ctx context.Context) iter.Seq2[Vector, error] {
 	seed := e.db.nextSeed()
 	return func(yield func(Vector, error) bool) {
-		var obs Observable
-		ps, _, cp, err := e.prepared(ctx)
-		switch {
-		case errors.Is(err, ErrNeedsProjection):
-			obs, err = e.db.engineWith(ctx, seed, e.effectiveOptions()).ObservableFromPlan(cp.Plan)
-		case err == nil:
-			obs, err = ps.NewObservableCtx(ctx, seed)
+		x, err := e.exec(ctx)
+		var gen Observable
+		if err == nil {
+			gen, err = x.Stream(ctx, seed)
 		}
 		if err != nil {
 			yield(nil, err)
@@ -367,12 +336,12 @@ func (e *Expr) Samples(ctx context.Context) iter.Seq2[Vector, error] {
 				yield(nil, err)
 				return
 			}
-			x, err := obs.Sample()
+			p, err := gen.Sample()
 			if err != nil {
 				yield(nil, err)
 				return
 			}
-			if !yield(x, nil) {
+			if !yield(p, nil) {
 				return
 			}
 		}
@@ -383,29 +352,16 @@ func (e *Expr) Samples(ctx context.Context) iter.Seq2[Vector, error] {
 // from the warm geometry, deterministic per (program, expression,
 // options). A provably empty expression returns 0 — on replay an O(1)
 // cached verdict, no geometry touched. Projection-needing expressions
-// fall back to a per-call engine under a key-derived seed.
+// run on a per-call engine under a key-derived seed.
 func (e *Expr) Volume(ctx context.Context) (float64, error) {
 	ctx, span := obs.Start(ctx, "expr.volume")
 	defer span.End()
-	ps, key, cp, err := e.prepared(ctx)
-	switch {
-	case errors.Is(err, ErrEmptyExpr):
-		return 0, nil
-	case errors.Is(err, ErrNeedsProjection):
-		seed := runtime.PrepSeedFor(key + "\x1fexprvol")
-		if e.db.prepSeedSet {
-			seed = e.db.prepSeed + runtime.PrepSeedFor("exprvol\x1f"+cp.Key)
-		}
-		return e.db.engineWith(ctx, seed, e.effectiveOptions()).EstimateVolumeFromPlan(cp.Plan)
-	case err != nil:
+	x, err := e.exec(ctx)
+	if err != nil {
 		return 0, err
 	}
-	span.SetKey(key)
-	v, acc, accOK, err := ps.VolumeWithAccuracy(ctx, runtime.PrepSeedFor(key+"\x1fvolume"))
-	if err == nil && accOK {
-		e.db.rt.RecordVolumeAccuracy(key, acc)
-	}
-	return v, err
+	span.SetKey(x.Key)
+	return x.Volume(ctx, nil)
 }
 
 // EvalSymbolic evaluates the expression symbolically — the paper's

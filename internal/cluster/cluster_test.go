@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
@@ -33,6 +35,42 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 		if c < 300 {
 			t.Errorf("node %s owns only %d/3000 keys — ring badly imbalanced", n, c)
 		}
+	}
+}
+
+// TestRingBalanceAcrossPorts: members that differ only by port — every
+// loopback or httptest cluster — still split the circle evenly. Over
+// 2000 seeded three-member rings the largest member's share of the
+// circle must average at most 0.40 (ideal 1/3).
+func TestRingBalanceAcrossPorts(t *testing.T) {
+	r := rng.New(1)
+	const rings = 2000
+	sum := 0.0
+	for i := 0; i < rings; i++ {
+		seen := map[string]bool{}
+		for len(seen) < 3 {
+			seen[fmt.Sprintf("http://127.0.0.1:%d", 1024+r.Intn(64512))] = true
+		}
+		var nodes []string
+		for n := range seen {
+			nodes = append(nodes, n)
+		}
+		ring := NewRing(nodes, 64)
+		// Each point owns the arc from its predecessor up to itself; the
+		// uint64 difference wraps for the first point's arc across zero.
+		share := map[string]float64{}
+		for j, p := range ring.points {
+			prev := ring.points[(j+len(ring.points)-1)%len(ring.points)].hash
+			share[p.node] += float64(p.hash-prev) / (1 << 64)
+		}
+		largest := 0.0
+		for _, s := range share {
+			largest = max(largest, s)
+		}
+		sum += largest
+	}
+	if mean := sum / rings; mean > 0.40 {
+		t.Fatalf("largest member owns %.3f of the circle on average, want <= 0.40 (ideal 1/3)", mean)
 	}
 }
 

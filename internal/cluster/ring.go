@@ -56,13 +56,19 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// ringHash is FNV-64a — stable across processes, architectures and Go
-// versions, which is what keeps independently built rings identical on
-// every member.
+// ringHash is FNV-64a followed by splitmix64's finalizer. FNV is stable
+// across processes, architectures and Go versions, which is what keeps
+// independently built rings identical on every member; but it barely
+// moves the high bits of ids that differ only in their last bytes
+// ("http://127.0.0.1:PORT#i"), so without the finalizer the vnodes of
+// members that differ only by port cluster on the circle.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Owner returns the member owning key, or "" for an empty ring.

@@ -12,8 +12,7 @@
 //     walk step.
 //   - Sink: the event interface the runtime reports cache/pool events
 //     through, with per-cache-kind attribution (plan / symbolic /
-//     alibi) and hit/negative-hit/miss/eviction outcomes. The legacy
-//     five-counter runtime.Hooks is adapted onto it.
+//     alibi) and hit/negative-hit/miss/eviction outcomes.
 //   - Costs: a bounded concurrent table of observed per-key costs —
 //     preparation time, per-sample time, walk steps, LP membership
 //     calls, rejection rounds, elimination rounds and atom growth —
@@ -96,12 +95,9 @@ func (o CacheOutcome) String() string {
 
 // Sink receives runtime events; a serving layer maps them onto its
 // metrics. All methods must be safe for concurrent use. A nil Sink is
-// valid and drops every event.
-//
-// This is the richer successor of the five-method runtime.Hooks: cache
-// events carry the cache kind and distinguish negative hits, so a
-// metrics layer can report per-kind hit rates and negative-entry
-// traffic without guessing.
+// valid and drops every event. Cache events carry the cache kind and
+// distinguish negative hits, so a metrics layer can report per-kind hit
+// rates and negative-entry traffic without guessing.
 type Sink interface {
 	// CacheEvent records one cache access outcome for the given kind.
 	CacheEvent(kind CacheKind, outcome CacheOutcome)

@@ -66,15 +66,9 @@ type cacheSlot[V any] struct {
 	negative bool
 }
 
-// NewCache returns a cache holding at most capacity completed entries
-// (minimum 1). hooks may be nil. Events report under obs.KindPlan; use
-// NewKindCache to label a cache's events with another kind.
-func NewCache[V any](capacity int, hooks Hooks) *Cache[V] {
-	return NewKindCache[V](capacity, obs.KindPlan, sinkFor(hooks))
-}
-
-// NewKindCache returns a cache whose events carry the given kind label.
-// sink may be nil.
+// NewKindCache returns a cache holding at most capacity completed
+// entries (minimum 1) whose events carry the given kind label. sink may
+// be nil.
 func NewKindCache[V any](capacity int, kind obs.CacheKind, sink obs.Sink) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
@@ -292,9 +286,3 @@ func (c *Cache[V]) Counts() (entries, negatives int) {
 // (database, target, Options) keys whose values are warm *Prepared
 // instances.
 type SamplerCache = Cache[*Prepared]
-
-// NewSamplerCache returns a sampler cache holding at most capacity
-// prepared samplers (minimum 1). hooks may be nil.
-func NewSamplerCache(capacity int, hooks Hooks) *SamplerCache {
-	return NewCache[*Prepared](capacity, hooks)
-}

@@ -12,8 +12,7 @@ import (
 )
 
 // recordingSink counts events per (kind, outcome) plus the pool/draw
-// events — the richer delivery surface the legacy countingHooks cannot
-// see.
+// events.
 type recordingSink struct {
 	mu        sync.Mutex
 	events    map[obs.CacheKind]map[obs.CacheOutcome]int
@@ -97,7 +96,7 @@ func TestSinkPerKindEvents(t *testing.T) {
 	}
 
 	// Symbolic kind.
-	cp, err := canonicalFor(entry, "A", "", opts)
+	cp, err := entry.Plan("A")
 	if err != nil {
 		t.Fatal(err)
 	}

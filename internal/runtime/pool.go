@@ -31,18 +31,9 @@ type Pool struct {
 	closeOnce sync.Once
 }
 
-// NewPool starts size workers (minimum 1). hooks may be nil.
-func NewPool(size int, hooks Hooks) *Pool {
-	return newPool(size, sinkFor(hooks))
-}
-
-// NewPoolWithSink is NewPool reporting to an obs.Sink (may be nil).
+// NewPoolWithSink starts size workers (minimum 1) reporting to an
+// obs.Sink (may be nil).
 func NewPoolWithSink(size int, sink obs.Sink) *Pool {
-	return newPool(size, sink)
-}
-
-// newPool is NewPool over an obs.Sink (may be nil).
-func newPool(size int, sink obs.Sink) *Pool {
 	if size < 1 {
 		size = 1
 	}
@@ -137,19 +128,14 @@ type draw struct {
 	err   error
 }
 
-// NewExecutor returns an executor over the given pool. hooks may be nil.
-func NewExecutor(pool *Pool, hooks Hooks) *Executor {
-	return newExecutor(pool, sinkFor(hooks), nil)
-}
-
-// NewExecutorWithSink is NewExecutor reporting to an obs.Sink (may be
-// nil).
+// NewExecutorWithSink returns an executor over the given pool reporting
+// to an obs.Sink (may be nil).
 func NewExecutorWithSink(pool *Pool, sink obs.Sink) *Executor {
 	return newExecutor(pool, sink, nil)
 }
 
-// newExecutor is NewExecutor over an obs.Sink and a cost table (either
-// may be nil).
+// newExecutor is NewExecutorWithSink with a cost table (either may be
+// nil).
 func newExecutor(pool *Pool, sink obs.Sink, costs *obs.Costs) *Executor {
 	return &Executor{pool: pool, inflight: map[string]*draw{}, sink: sink, costs: costs}
 }

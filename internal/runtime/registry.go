@@ -24,6 +24,8 @@ type DatabaseEntry struct {
 	Source    string
 	DB        *constraint.Database
 	CreatedAt time.Time
+
+	plans sync.Map // name → *query.CanonicalPlan, filled by Plan
 }
 
 // Registry holds the parsed constraint databases a runtime can sample

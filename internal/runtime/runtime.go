@@ -13,6 +13,11 @@
 //   - a bounded worker Pool with a batch Executor that coalesces
 //     identical concurrent draws.
 //
+// Every surface reaches them the same way: DatabaseEntry.Plan resolves
+// a relation or query name to its canonical plan, and Exec runs a
+// canonical plan — sampling, streaming, measuring — from warm geometry,
+// a cached empty verdict, or Algorithm 2's per-call projection engine.
+//
 // The paper's pipeline — prepare a (γ, ε, δ)-generator once, then draw
 // cheap almost-uniform samples and volume estimates from it — is a
 // connection/statement lifecycle, and this package is the connection
@@ -27,58 +32,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/quality"
 )
-
-// Hooks is the legacy five-counter event interface. It predates
-// obs.Sink, which additionally attributes cache events to their kind
-// (plan / symbolic / alibi) and distinguishes negative hits; new
-// integrations should implement obs.Sink and use NewWithSink. A Hooks
-// value that also implements obs.Sink receives the richer events
-// directly; otherwise events are folded down (hits and negative hits
-// both land on CacheHit). All methods must be safe for concurrent use.
-// A nil Hooks is valid and drops every event.
-type Hooks interface {
-	// CacheHit records a prepared-sampler cache hit (including negative
-	// entries and joins of an in-flight build).
-	CacheHit()
-	// CacheMiss records a cold build.
-	CacheMiss()
-	// CacheEviction records an LRU eviction.
-	CacheEviction()
-	// CoalescedDraw records a batched draw served by an identical
-	// in-flight draw.
-	CoalescedDraw()
-	// BatchJob records one worker-pool job execution.
-	BatchJob()
-}
-
-// sinkFor adapts a legacy Hooks onto obs.Sink: nil stays nil, a Hooks
-// that already implements obs.Sink is used directly, anything else is
-// wrapped so kind information is dropped and negative hits fold onto
-// CacheHit — exactly the aggregation the five counters always had.
-func sinkFor(h Hooks) obs.Sink {
-	if h == nil {
-		return nil
-	}
-	if s, ok := h.(obs.Sink); ok {
-		return s
-	}
-	return legacySink{h}
-}
-
-type legacySink struct{ h Hooks }
-
-func (l legacySink) CacheEvent(_ obs.CacheKind, outcome obs.CacheOutcome) {
-	switch outcome {
-	case obs.Hit, obs.NegativeHit:
-		l.h.CacheHit()
-	case obs.Miss:
-		l.h.CacheMiss()
-	case obs.Eviction:
-		l.h.CacheEviction()
-	}
-}
-func (l legacySink) CoalescedDraw() { l.h.CoalescedDraw() }
-func (l legacySink) BatchJob()      { l.h.BatchJob() }
 
 // Config tunes the runtime. The zero value picks sensible defaults.
 type Config struct {
@@ -118,15 +71,6 @@ type Runtime struct {
 	pool     *Pool
 	exec     *Executor
 
-	// planKeys maps name-addressed targets — (db, kind, name, options)
-	// — to the canonical plan key of their prepared geometry, so warm
-	// name lookups skip the planning pass entirely. It is itself a
-	// singleflight cache: a thundering herd of identical cold requests
-	// runs the planning pass (NNF/DNF expansion plus LP pruning) once,
-	// not once per caller. Hookless — alias lookups are bookkeeping,
-	// not prepared-cache traffic.
-	planKeys *Cache[string]
-
 	// costs is the observed per-key cost table: preparation time, walk
 	// effort and elimination effort attributed to the same canonical
 	// keys the caches use — the measured input of a cost-based planner.
@@ -140,18 +84,9 @@ type Runtime struct {
 	auditor *Auditor
 }
 
-// maxPlanKeys bounds the name → plan-key alias cache.
-const maxPlanKeys = 4096
-
 // maxCostKeys bounds the observed-cost table (plan keys plus their
 // per-disjunct "key#i" sub-entries, symbolic and alibi keys).
 const maxCostKeys = 4096
-
-// New builds a runtime from cfg. hooks may be nil (see Hooks for how
-// legacy hooks fold the per-kind cache events).
-func New(cfg Config, hooks Hooks) *Runtime {
-	return NewWithSink(cfg, sinkFor(hooks))
-}
 
 // NewWithSink builds a runtime whose events report through an obs.Sink
 // with full per-kind cache attribution. sink may be nil.
@@ -159,7 +94,7 @@ func NewWithSink(cfg Config, sink obs.Sink) *Runtime {
 	cfg = cfg.withDefaults()
 	costs := obs.NewCosts(maxCostKeys)
 	qt := quality.NewTracker(0)
-	pool := newPool(cfg.PoolSize, sink)
+	pool := NewPoolWithSink(cfg.PoolSize, sink)
 	rt := &Runtime{
 		cfg:      cfg,
 		registry: NewRegistry(cfg.MaxDatabases),
@@ -168,7 +103,6 @@ func NewWithSink(cfg Config, sink obs.Sink) *Runtime {
 		symbolic: NewKindCache[*SymbolicEntry](cfg.CacheSize, obs.KindSymbolic, sink),
 		pool:     pool,
 		exec:     newExecutor(pool, sink, costs),
-		planKeys: NewCache[string](maxPlanKeys, nil),
 		costs:    costs,
 		quality:  qt,
 	}

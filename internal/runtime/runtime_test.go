@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/constraint"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/walk"
 )
 
@@ -19,37 +19,27 @@ rel B(x, y, t) := { 0 <= t <= 10, t - 0.5 <= x <= t + 0.5, 0 <= y <= 1 };
 rel Far(x, y, t) := { 0 <= t <= 10, 100 <= x <= 101, 0 <= y <= 1 };
 `
 
-type countingHooks struct {
-	hits, misses, evictions, coalesced, jobs atomic.Int64
-}
-
-func (h *countingHooks) CacheHit()      { h.hits.Add(1) }
-func (h *countingHooks) CacheMiss()     { h.misses.Add(1) }
-func (h *countingHooks) CacheEviction() { h.evictions.Add(1) }
-func (h *countingHooks) CoalescedDraw() { h.coalesced.Add(1) }
-func (h *countingHooks) BatchJob()      { h.jobs.Add(1) }
-
 func testOptions() core.Options {
 	return core.Options{Params: core.DefaultParams(), Walk: walk.HitAndRun}
 }
 
-func newTestRuntime(t *testing.T) (*Runtime, *DatabaseEntry, *countingHooks) {
+func newTestRuntime(t *testing.T) (*Runtime, *DatabaseEntry, *recordingSink) {
 	t.Helper()
-	hooks := &countingHooks{}
-	rt := New(Config{PoolSize: 2, CacheSize: 8}, hooks)
+	sink := newRecordingSink()
+	rt := NewWithSink(Config{PoolSize: 2, CacheSize: 8}, sink)
 	t.Cleanup(rt.Close)
 	entry, _, err := rt.Registry().Register("motion", motionProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt, entry, hooks
+	return rt, entry, sink
 }
 
 // TestEmptySliceNegativeCache: an out-of-support slice fails its first
 // build, but the verdict is cached — the replay is a hit that never
 // re-runs the slicing/support analysis.
 func TestEmptySliceNegativeCache(t *testing.T) {
-	rt, entry, hooks := newTestRuntime(t)
+	rt, entry, sink := newTestRuntime(t)
 	opts := testOptions()
 
 	_, _, hit, err := rt.PreparedSlice(entry, "A", 99, opts)
@@ -59,7 +49,7 @@ func TestEmptySliceNegativeCache(t *testing.T) {
 	if hit {
 		t.Fatal("cold empty slice reported a hit")
 	}
-	misses := hooks.misses.Load()
+	misses := sink.count(obs.KindPlan, obs.Miss)
 
 	_, _, hit, err = rt.PreparedSlice(entry, "A", 99, opts)
 	if !errors.Is(err, ErrEmptySlice) {
@@ -68,7 +58,7 @@ func TestEmptySliceNegativeCache(t *testing.T) {
 	if !hit {
 		t.Fatal("replayed empty slice should be a (negative) cache hit")
 	}
-	if hooks.misses.Load() != misses {
+	if sink.count(obs.KindPlan, obs.Miss) != misses {
 		t.Fatal("replay re-ran the failed build")
 	}
 
@@ -138,21 +128,31 @@ func TestPreparedAlibiCacheReplay(t *testing.T) {
 	}
 }
 
-// TestPreparedForWithSeed: an explicit preparation seed produces the
+// TestExecPinnedPrepSeed: an explicit preparation seed produces the
 // same prepared geometry on every process (here: two runtimes).
-func TestPreparedForWithSeed(t *testing.T) {
+func TestExecPinnedPrepSeed(t *testing.T) {
 	rt1, e1, _ := newTestRuntime(t)
 	rt2, e2, _ := newTestRuntime(t)
 	opts := testOptions()
 
-	ps1, _, _, err := rt1.PreparedForWithSeed(e1, "A", "", opts, 123)
-	if err != nil {
-		t.Fatal(err)
+	prepared := func(rt *Runtime, e *DatabaseEntry) *Prepared {
+		t.Helper()
+		cp, err := e.Plan("A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := uint64(123)
+		x, err := rt.Exec(e, cp, opts, &seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := x.Sampler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps
 	}
-	ps2, _, _, err := rt2.PreparedForWithSeed(e2, "A", "", opts, 123)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps1, ps2 := prepared(rt1, e1), prepared(rt2, e2)
 	a, err := ps1.SampleMany(16, 2, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestCacheNegativeMarker(t *testing.T) {
 		t.Fatal("Negative must mark and preserve the cause")
 	}
 
-	cache := NewCache[*constraint.Relation](2, nil)
+	cache := NewKindCache[*constraint.Relation](2, obs.KindSymbolic, nil)
 	calls := 0
 	_, _, err := cache.Get("k", func() (*constraint.Relation, error) {
 		calls++
@@ -287,8 +287,7 @@ func TestNegativeEntriesDoNotEvictWarmGeometry(t *testing.T) {
 // an empty probe's verdict must still be retained (displacing at most
 // one positive, never itself), so the replay is an O(1) hit.
 func TestNegativeReplayAtCapacity(t *testing.T) {
-	hooks := &countingHooks{}
-	rt := New(Config{PoolSize: 1, CacheSize: 2}, hooks)
+	rt := NewWithSink(Config{PoolSize: 1, CacheSize: 2}, nil)
 	t.Cleanup(rt.Close)
 	entry, _, err := rt.Registry().Register("motion", motionProgram)
 	if err != nil {
@@ -315,8 +314,8 @@ func TestNegativeReplayAtCapacity(t *testing.T) {
 // generator" verdict on an ∃-query is deterministic in the program, so
 // it is cached negatively — replays skip the planning pass.
 func TestProjectionVerdictNegativeCached(t *testing.T) {
-	hooks := &countingHooks{}
-	rt := New(Config{PoolSize: 1, CacheSize: 4}, hooks)
+	sink := newRecordingSink()
+	rt := NewWithSink(Config{PoolSize: 1, CacheSize: 4}, sink)
 	t.Cleanup(rt.Close)
 	entry, _, err := rt.Registry().Register("q", `
 rel S(x, y) := { x >= 0, y >= 0, x + y <= 1 };
@@ -331,12 +330,12 @@ query Q(x)  := exists y. S(x, y);
 	if !errors.Is(err, ErrNeedsProjection) || hit {
 		t.Fatalf("cold ∃-query: hit=%v err=%v", hit, err)
 	}
-	misses := hooks.misses.Load()
+	misses := sink.count(obs.KindPlan, obs.Miss)
 	_, _, hit, err = rt.PreparedFor(entry, "", "Q", opts)
 	if !errors.Is(err, ErrNeedsProjection) || !hit {
 		t.Fatalf("replayed ∃-query verdict should hit the cache: hit=%v err=%v", hit, err)
 	}
-	if hooks.misses.Load() != misses {
+	if sink.count(obs.KindPlan, obs.Miss) != misses {
 		t.Fatal("replay re-ran the planning pass")
 	}
 }

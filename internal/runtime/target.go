@@ -1,14 +1,17 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/constraint"
 	"repro/internal/core"
+	"repro/internal/linalg"
 	"repro/internal/polytope"
 	"repro/internal/query"
+	"repro/internal/reconstruct"
 )
 
 // ErrNeedsProjection marks a query whose sampling plan requires the
@@ -24,95 +27,54 @@ var ErrTargetNotFound = errors.New("target not found")
 // dimensional LP-feasible disjunct: the expression provably denotes an
 // empty (or measure-zero) set. The verdict is cached as a negative
 // entry, so replays are O(1) and — negatives park at the LRU's
-// eviction end — never evict warm geometry. Callers that want set
-// semantics (an empty set has volume 0) translate it; callers that
-// need a sampler surface it as an error.
+// eviction end — never evict warm geometry. Exec.Volume translates it
+// to volume 0; the sampling terminals surface it as an error.
 var ErrEmptyExpr = errors.New("expression denotes an empty (or measure-zero) set")
 
-// TargetKindName validates the relation/query arguments and returns the
-// cache-key kind and name. Shared by ResolveTarget and PreparedFor so
-// the two cannot diverge.
-func TargetKindName(relName, queryName string) (kind, name string, err error) {
+// Plan is the name resolver: it returns the canonical plan a declared
+// relation or named query denotes — the plan cdb.Expr compiles for
+// db.Rel(name), query.NewRel(name) through Compile and Canonicalize —
+// so a named request and the structurally equal expression share one
+// cache key, whichever surface asked. Programs are immutable and plans
+// ignore the sampling options, so each name is compiled once per
+// registered program.
+func (e *DatabaseEntry) Plan(name string) (*query.CanonicalPlan, error) {
+	if cp, ok := e.plans.Load(name); ok {
+		return cp.(*query.CanonicalPlan), nil
+	}
+	_, isRel := e.DB.Relation(name)
+	_, isQuery := e.DB.Query(name)
+	if !isRel && !isQuery {
+		return nil, fmt.Errorf("%w: relation or query %q in database %q", ErrTargetNotFound, name, e.ID)
+	}
+	plan, err := query.NewRel(name).Compile(e.DB)
+	if err != nil {
+		return nil, err
+	}
+	cp, _ := e.plans.LoadOrStore(name, query.Canonicalize(plan))
+	return cp.(*query.CanonicalPlan), nil
+}
+
+// Target resolves the (relation, query) pair of a name-addressed
+// request through Plan: exactly one must be set, naming a declared
+// relation or a named query respectively.
+func (e *DatabaseEntry) Target(relName, queryName string) (*query.CanonicalPlan, error) {
 	switch {
 	case relName != "" && queryName != "":
-		return "", "", errors.New("specify relation or query, not both")
+		return nil, errors.New("specify relation or query, not both")
 	case relName != "":
-		return "rel", relName, nil
-	case queryName != "":
-		return "query", queryName, nil
-	default:
-		return "", "", errors.New("missing relation (or query) name")
-	}
-}
-
-// ResolveTarget finds the relation to sample: either a declared relation
-// or a query whose sampling plan is quantifier-free (every disjunct is a
-// plain conjunction), which compiles to an equivalent relation over the
-// output variables. Queries that need the projection generator are
-// served per-request through a query engine instead of the prepared
-// cache (ErrNeedsProjection).
-func ResolveTarget(e *DatabaseEntry, relName, queryName string, opts core.Options) (*constraint.Relation, string, string, error) {
-	kind, _, err := TargetKindName(relName, queryName)
-	if err != nil {
-		return nil, "", "", err
-	}
-	switch kind {
-	case "rel":
-		rel, ok := e.DB.Relation(relName)
-		if !ok {
-			return nil, "", "", fmt.Errorf("%w: relation %q in database %q", ErrTargetNotFound, relName, e.ID)
-		}
-		return rel, "rel", relName, nil
-	default:
-		q, ok := e.DB.Query(queryName)
-		if !ok {
-			return nil, "", "", fmt.Errorf("%w: query %q in database %q", ErrTargetNotFound, queryName, e.ID)
-		}
-		eng := query.NewEngine(e.DB.Schema, opts, 0)
-		plan, err := eng.NewPlan(q)
-		if err != nil {
-			return nil, "", "", err
-		}
-		tuples := make([]constraint.Tuple, 0, len(plan.Disjuncts))
-		for _, d := range plan.Disjuncts {
-			if d.ExVars > 0 {
-				return nil, "", "", fmt.Errorf("%w: query %q", ErrNeedsProjection, queryName)
-			}
-			tuples = append(tuples, d.Poly.Tuple())
-		}
-		rel, err := constraint.NewRelation(queryName, plan.OutVars, tuples...)
-		if err != nil {
-			return nil, "", "", err
-		}
-		return rel, "query", queryName, nil
-	}
-}
-
-// canonicalFor compiles the named target to its canonical plan: declared
-// relations become one disjunct per tuple; named queries run the plan
-// pipeline. Either way the result is the same normal form cdb.Expr and
-// the /v1/expr endpoint reach, so all surfaces share cache entries.
-func canonicalFor(e *DatabaseEntry, relName, queryName string, opts core.Options) (*query.CanonicalPlan, error) {
-	kind, _, err := TargetKindName(relName, queryName)
-	if err != nil {
-		return nil, err
-	}
-	if kind == "rel" {
-		rel, ok := e.DB.Relation(relName)
-		if !ok {
+		if _, ok := e.DB.Relation(relName); !ok {
 			return nil, fmt.Errorf("%w: relation %q in database %q", ErrTargetNotFound, relName, e.ID)
 		}
-		return query.Canonicalize(PlanOfRelation(rel)), nil
+		return e.Plan(relName)
+	case queryName != "":
+		if _, ok := e.DB.Query(queryName); !ok {
+			return nil, fmt.Errorf("%w: query %q in database %q", ErrTargetNotFound, queryName, e.ID)
+		}
+		return e.Plan(queryName)
+	default:
+		return nil, errors.New("missing relation (or query) name")
 	}
-	q, ok := e.DB.Query(queryName)
-	if !ok {
-		return nil, fmt.Errorf("%w: query %q in database %q", ErrTargetNotFound, queryName, e.ID)
-	}
-	plan, err := query.NewEngine(e.DB.Schema, opts, 0).NewPlan(q)
-	if err != nil {
-		return nil, err
-	}
-	return query.Canonicalize(plan), nil
 }
 
 // PlanOfRelation lifts a declared relation into plan form: one
@@ -125,60 +87,14 @@ func PlanOfRelation(rel *constraint.Relation) *query.Plan {
 	return p
 }
 
-// PreparedFor returns the cached prepared sampler for the target,
-// building it on first use. The cache key is the target's canonical
-// plan hash — not its name — so a named query, a declared relation and
-// a structurally equal cdb.Expr all share one entry. A name → plan-key
-// alias map makes warm requests pay only two lookups (the planning pass
-// runs once per (target, options)). A per-call Interrupt hook in opts
-// affects only the cache key's absence — preparation always strips it
-// (see Prepare).
+// PreparedFor returns the cached prepared sampler for a name-addressed
+// target (see Target), building it on first use.
 func (rt *Runtime) PreparedFor(e *DatabaseEntry, relName, queryName string, opts core.Options) (*Prepared, string, bool, error) {
-	return rt.preparedFor(e, relName, queryName, opts, nil)
-}
-
-// PreparedForWithSeed is PreparedFor with an explicit preparation seed
-// overriding the key-derived default. The cache key is unchanged, so a
-// caller must use one consistent seed per key (the cdb.DB handle pins
-// one per handle via WithPrepSeed).
-func (rt *Runtime) PreparedForWithSeed(e *DatabaseEntry, relName, queryName string, opts core.Options, prepSeed uint64) (*Prepared, string, bool, error) {
-	return rt.preparedFor(e, relName, queryName, opts, &prepSeed)
-}
-
-func (rt *Runtime) preparedFor(e *DatabaseEntry, relName, queryName string, opts core.Options, prepSeed *uint64) (*Prepared, string, bool, error) {
-	kind, name, err := TargetKindName(relName, queryName)
+	cp, err := e.Target(relName, queryName)
 	if err != nil {
 		return nil, "", false, err
 	}
-	aliasKey := SamplerKey(e.ID, kind, name, opts.CacheKey())
-	// The alias cache singleflights the planning pass: concurrent cold
-	// requests for one target plan once. Only the building caller's cp
-	// is set; waiters (and later callers whose prepared entry was
-	// evicted) re-plan inside the prepared build closure below.
-	var cp *query.CanonicalPlan
-	key, _, err := rt.planKeys.Get(aliasKey, func() (string, error) {
-		p, err := canonicalFor(e, relName, queryName, opts)
-		if err != nil {
-			return "", err
-		}
-		cp = p
-		return PlanKey(e.ID, p.Key, opts.CacheKey()), nil
-	})
-	if err != nil {
-		return nil, "", false, err
-	}
-	ps, hit, err := rt.cache.Get(key, func() (*Prepared, error) {
-		if cp == nil {
-			// Alias hit but the prepared entry was (re)built: re-plan.
-			p, err := canonicalFor(e, relName, queryName, opts)
-			if err != nil {
-				return nil, err
-			}
-			cp = p
-		}
-		return rt.buildFromPlan(cp, key, prepSeed, opts)
-	})
-	return ps, key, hit, err
+	return rt.PreparedPlan(e, cp, opts)
 }
 
 // PlanKey is the prepared cache key of a canonical plan under a
@@ -187,21 +103,14 @@ func PlanKey(dbID, canonKey, optsKey string) string {
 	return SamplerKey(dbID, "plan", canonKey, optsKey)
 }
 
-// PreparedPlan returns the cached prepared sampler for a pre-compiled
-// canonical plan — the execution path of cdb.Expr and /v1/expr. The key
-// is the plan's canonical hash, so structurally equal expressions (and
-// name-addressed targets with the same geometry) share the entry.
-// Provably empty plans cache as Negative(ErrEmptyExpr); plans needing
-// the projection generator cache as Negative(ErrNeedsProjection) —
-// both O(1) on replay.
+// PreparedPlan returns the cached prepared sampler for a canonical
+// plan. The key is the plan's canonical hash, so structurally equal
+// expressions and name-addressed targets with the same geometry share
+// the entry. Provably empty plans cache as Negative(ErrEmptyExpr);
+// plans needing the projection generator cache as
+// Negative(ErrNeedsProjection) — both O(1) on replay.
 func (rt *Runtime) PreparedPlan(e *DatabaseEntry, cp *query.CanonicalPlan, opts core.Options) (*Prepared, string, bool, error) {
 	return rt.preparedPlan(e, cp, opts, nil)
-}
-
-// PreparedPlanWithSeed is PreparedPlan with an explicit preparation
-// seed; see PreparedForWithSeed for the consistency contract.
-func (rt *Runtime) PreparedPlanWithSeed(e *DatabaseEntry, cp *query.CanonicalPlan, opts core.Options, prepSeed uint64) (*Prepared, string, bool, error) {
-	return rt.preparedPlan(e, cp, opts, &prepSeed)
 }
 
 func (rt *Runtime) preparedPlan(e *DatabaseEntry, cp *query.CanonicalPlan, opts core.Options, prepSeed *uint64) (*Prepared, string, bool, error) {
@@ -212,7 +121,7 @@ func (rt *Runtime) preparedPlan(e *DatabaseEntry, cp *query.CanonicalPlan, opts 
 	return ps, key, hit, err
 }
 
-// buildFromPlan is the shared cold-build closure body: empty and
+// buildFromPlan is the cold-build closure body: empty and
 // projection-needing plans become cached verdicts, everything else
 // materialises as a derived relation and pays the preparation pass.
 // The cached verdicts carry no target name — the entry is shared by
@@ -247,4 +156,154 @@ func (rt *Runtime) buildFromPlan(cp *query.CanonicalPlan, key string, prepSeed *
 		rt.auditor.register(key, rel, ps)
 	}
 	return ps, err
+}
+
+// Exec is the plan executor: one canonical plan of a registered
+// program resolved against the prepared cache under sampling options.
+// It is the one place that decides how a plan runs — from a warm
+// prepared sampler, as the cached empty verdict (volume 0, no points),
+// or, for plans needing Algorithm 2's projection generator, on a
+// per-call query engine — so every surface (the cdb facade, ExecSQL
+// and the HTTP endpoints) samples, streams and measures a plan the
+// same way.
+type Exec struct {
+	// Key is the prepared cache key the plan resolved under; Hit
+	// reports a warm, in-flight or negative cache entry.
+	Key string
+	Hit bool
+	// Plan is the executed canonical plan.
+	Plan *query.CanonicalPlan
+
+	rt       *Runtime
+	entry    *DatabaseEntry
+	opts     core.Options
+	prepSeed *uint64
+	ps       *Prepared
+	verdict  error // nil, or the cached ErrEmptyExpr / ErrNeedsProjection entry
+}
+
+// Exec resolves cp against the prepared cache, building its sampler —
+// or caching its empty or projection verdict — on first use. The
+// preparation seed derives from the cache key unless prepSeed pins it
+// (cdb.WithPrepSeed); the key does not depend on it, so a caller must
+// use one seed per key. A failed preparation is returned as the error
+// and is not cached.
+func (rt *Runtime) Exec(e *DatabaseEntry, cp *query.CanonicalPlan, opts core.Options, prepSeed *uint64) (*Exec, error) {
+	ps, key, hit, err := rt.preparedPlan(e, cp, opts, prepSeed)
+	if err != nil && !errors.Is(err, ErrEmptyExpr) && !errors.Is(err, ErrNeedsProjection) {
+		return nil, err
+	}
+	return &Exec{Key: key, Hit: hit, Plan: cp, rt: rt, entry: e, opts: opts, prepSeed: prepSeed, ps: ps, verdict: err}, nil
+}
+
+// Sampler returns the warm prepared sampler, or the cached verdict that
+// the plan has none (ErrEmptyExpr, ErrNeedsProjection; IsNegative holds
+// for both).
+func (x *Exec) Sampler() (*Prepared, error) { return x.ps, x.verdict }
+
+// SampleN draws n points under seed: from the warm sampler on the
+// worker pool (deterministic in n, workers and seed; identical
+// concurrent draws coalesce, reported by coalesced), or sequentially
+// from a per-call projection engine bound to seed.
+func (x *Exec) SampleN(ctx context.Context, n, workers int, seed uint64) (pts []linalg.Vector, coalesced bool, err error) {
+	if x.verdict == nil {
+		return x.rt.exec.SampleManyCtx(ctx, x.Key, x.ps, n, workers, seed)
+	}
+	gen, err := x.Stream(ctx, seed)
+	if err != nil {
+		return nil, false, err
+	}
+	pts = make([]linalg.Vector, 0, n)
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		p, err := gen.Sample()
+		if err != nil {
+			return nil, false, err
+		}
+		pts = append(pts, p)
+	}
+	return pts, false, nil
+}
+
+// Stream binds seed to one generator whose hot loops poll ctx: the warm
+// sampler's, or a per-call projection engine's.
+func (x *Exec) Stream(ctx context.Context, seed uint64) (core.Observable, error) {
+	switch {
+	case errors.Is(x.verdict, ErrNeedsProjection):
+		return x.engine(ctx, seed).ObservableFromPlan(x.Plan.Plan)
+	case x.verdict != nil:
+		return nil, x.verdict
+	}
+	return x.ps.NewObservableCtx(ctx, seed)
+}
+
+// Volume estimates the plan's volume: 0 for the empty verdict, the warm
+// estimate of a prepared sampler (its (ε, δ) ledger recorded under
+// Key), or a per-call projection engine's estimate. seed nil derives
+// the estimator seed from the key (folding in a pinned preparation
+// seed), so the estimate is deterministic per (program, plan, options).
+func (x *Exec) Volume(ctx context.Context, seed *uint64) (float64, error) {
+	switch {
+	case errors.Is(x.verdict, ErrEmptyExpr):
+		return 0, nil
+	case errors.Is(x.verdict, ErrNeedsProjection):
+		s := PrepSeedFor(x.Key + "\x1fexprvol")
+		if x.prepSeed != nil {
+			s = *x.prepSeed + PrepSeedFor("exprvol\x1f"+x.Plan.Key)
+		}
+		if seed != nil {
+			s = *seed
+		}
+		return x.engine(ctx, s).EstimateVolumeFromPlan(x.Plan.Plan)
+	}
+	s := PrepSeedFor(x.Key + "\x1fvolume")
+	if seed != nil {
+		s = *seed
+	}
+	v, acc, accOK, err := x.ps.VolumeWithAccuracy(ctx, s)
+	if err == nil && accOK {
+		x.rt.RecordVolumeAccuracy(x.Key, acc)
+	}
+	return v, err
+}
+
+// Reconstruct runs Algorithm 5 with n samples per hull: one hull per
+// tuple of the warm sampler (a single hull over a union would claim the
+// gaps between its tuples), or per-disjunct hulls from a per-call
+// projection engine bound to seed.
+func (x *Exec) Reconstruct(ctx context.Context, n int, seed uint64) (*reconstruct.SetEstimate, error) {
+	switch {
+	case errors.Is(x.verdict, ErrNeedsProjection):
+		return x.engine(ctx, seed).ReconstructFromPlan(x.Plan.Plan, n)
+	case x.verdict != nil:
+		return nil, x.verdict
+	}
+	est := &reconstruct.SetEstimate{}
+	for i := 0; i < x.ps.Tuples(); i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		gen, err := x.ps.NewMemberObservable(i, seed)
+		if err != nil {
+			return nil, err
+		}
+		hull, err := reconstruct.HullFromGenerator(gen, n)
+		if err != nil {
+			return nil, err
+		}
+		est.Hulls = append(est.Hulls, hull)
+	}
+	return est, nil
+}
+
+// engine is the per-call Algorithm 2 engine over the program's schema,
+// its generators polling ctx.
+func (x *Exec) engine(ctx context.Context, seed uint64) *query.Engine {
+	opts := x.opts
+	if ctx.Done() != nil {
+		opts.Interrupt = ctx.Err
+	}
+	return query.NewEngine(x.entry.DB.Schema, opts, seed)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	cdb "repro"
+	"repro/internal/runtime"
 )
 
 // The benchmarks quantify the prepared-sampler cache win: the naive
@@ -68,9 +69,9 @@ func BenchmarkBatchExecutorSampleMany(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := NewMetrics()
-	pool := NewPool(4, m)
+	pool := runtime.NewPoolWithSink(4, m)
 	defer pool.Close()
-	exec := NewExecutor(pool, m)
+	exec := runtime.NewExecutorWithSink(pool, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pts, _, err := exec.SampleMany("bench", ps, 1024, 4, uint64(i+1))

@@ -103,16 +103,16 @@ func routeKeyReconstruct(s *Server, r *http.Request, body []byte) string {
 	return s.targetKey(req.Database, req.Relation, req.Query, req.Options)
 }
 
-// targetKey is the name-addressed routing key: the same alias key
-// runtime.PreparedFor singleflights the planning pass under. The plan
-// key it resolves to is a deterministic function of the alias, so
-// routing on the alias keeps each canonical plan warm on one node.
+// targetKey is the name-addressed routing key: the PlanKey of the
+// canonical plan the name resolves to, which is exactly the key the
+// owner caches under. /v1/expr and /v1/sql route on the same key, so
+// one canonical plan has one owner whichever surface asked for it.
 func (s *Server) targetKey(database, relation, query string, o *OptionsJSON) string {
-	id, ok := s.routeEntryID(database)
+	e, ok := s.rt.Registry().Get(database)
 	if !ok {
 		return ""
 	}
-	kind, name, err := runtime.TargetKindName(relation, query)
+	cp, err := e.Target(relation, query)
 	if err != nil {
 		return ""
 	}
@@ -120,7 +120,7 @@ func (s *Server) targetKey(database, relation, query string, o *OptionsJSON) str
 	if !ok {
 		return ""
 	}
-	return runtime.SamplerKey(id, kind, name, optsKey)
+	return runtime.PlanKey(e.ID, cp.Key, optsKey)
 }
 
 // routeKeyQuery routes named-query evaluation (all modes run through a
@@ -200,6 +200,10 @@ func routeKeySpacetimeSample(s *Server, r *http.Request, body []byte) string {
 	if json.Unmarshal(body, &req) != nil {
 		return ""
 	}
+	if req.T0 == nil || req.T1 == nil {
+		// No window: the handler shares /v1/sample's cache entry.
+		return s.targetKey(req.Database, req.Relation, "", req.Options)
+	}
 	id, ok := s.routeEntryID(req.Database)
 	if !ok {
 		return ""
@@ -208,11 +212,7 @@ func routeKeySpacetimeSample(s *Server, r *http.Request, body []byte) string {
 	if !ok {
 		return ""
 	}
-	if req.T0 != nil && req.T1 != nil {
-		return runtime.WindowKey(id, req.Relation, *req.T0, *req.T1, optsKey)
-	}
-	// No window: the handler shares /v1/sample's cache entry.
-	return runtime.SamplerKey(id, "rel", req.Relation, optsKey)
+	return runtime.WindowKey(id, req.Relation, *req.T0, *req.T1, optsKey)
 }
 
 func routeKeySpacetimeAlibi(s *Server, r *http.Request, body []byte) string {

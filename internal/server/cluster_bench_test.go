@@ -12,8 +12,6 @@ import (
 	"net/http"
 	"strconv"
 	"testing"
-
-	"repro/internal/runtime"
 )
 
 // benchCluster builds a 3-node cluster with a registered tile program:
@@ -57,8 +55,7 @@ func drawVia(b *testing.B, url, rel string) *http.Response {
 // ingress URLs.
 func warmS(b *testing.B, tc *testCluster) (ownerURL, forwardURL string) {
 	b.Helper()
-	optsKey, _ := routeOptsKey(fastOpts)
-	owner := tc.ownerIndex(b, runtime.SamplerKey("bench", "rel", "S", optsKey))
+	owner := tc.ownerIndex(b, planKeyOf(b, "bench", testProgram, "S", fastOpts))
 	// One cold exchange through each path warms the owner's cache and the
 	// non-owner's warm-key set (so timed forwards skip the cold gate).
 	for i := range tc.urls {

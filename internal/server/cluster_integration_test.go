@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	cdb "repro"
 	"repro/internal/cluster"
 	"repro/internal/runtime"
 )
@@ -101,6 +100,26 @@ func (tc *testCluster) ownerIndex(t testing.TB, key string) int {
 	return -1
 }
 
+// planKeyOf is the key a name-addressed request for target routes on
+// (and its owner caches under): the PlanKey of the canonical plan the
+// name resolves to in program src, registered as database id.
+func planKeyOf(t testing.TB, id, src, target string, o *OptionsJSON) string {
+	t.Helper()
+	e, _, err := runtime.NewRegistry(0).Register(id, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := e.Plan(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optsKey, ok := routeOptsKey(o)
+	if !ok {
+		t.Fatal("routeOptsKey failed")
+	}
+	return runtime.PlanKey(id, cp.Key, optsKey)
+}
+
 // postJSONHeaders is postJSON with request headers (tenant, forwarded
 // markers).
 func postJSONHeaders(t testing.TB, url string, body any, hdr map[string]string) (*http.Response, []byte) {
@@ -156,24 +175,38 @@ func TestClusterSingleOwnershipAndWarmForwarding(t *testing.T) {
 		}
 	}
 
-	// Mixed workload: every target × {sample, volume} × every ingress
-	// node, concurrently. Wherever a request lands, the preparation must
-	// happen on the key's owner and nowhere else.
+	// Mixed workload: every target × {sample, volume, expr, sql} ×
+	// every ingress node, concurrently. /v1/expr shares /v1/sample's
+	// options, and a default-options /v1/sample shares /v1/sql's, so one
+	// canonical plan is asked for through several surfaces. Wherever a
+	// request lands, the preparation must happen on the key's owner and
+	// nowhere else.
 	var wg sync.WaitGroup
 	for _, target := range clusterTargets {
 		for i := range tc.nodes {
 			wg.Add(1)
-			go func(url, rel, q string, want int) {
+			go func(url, relation, q string, want int) {
 				defer wg.Done()
-				resp, body := postJSONHeaders(t, url+"/v1/sample",
-					sampleRequest{Database: "test", Relation: rel, Query: q, N: 4, Seed: 7, Options: fastOpts}, nil)
-				if resp.StatusCode != want {
-					t.Errorf("sample %s%s via %s: status %d, body %s", rel, q, url, resp.StatusCode, body)
+				name := relation + q
+				for _, opts := range []*OptionsJSON{fastOpts, nil} {
+					resp, body := postJSONHeaders(t, url+"/v1/sample",
+						sampleRequest{Database: "test", Relation: relation, Query: q, N: 4, Seed: 7, Options: opts}, nil)
+					if resp.StatusCode != want {
+						t.Errorf("sample %s via %s: status %d, body %s", name, url, resp.StatusCode, body)
+					}
 				}
-				resp, body = postJSONHeaders(t, url+"/v1/volume",
-					volumeRequest{Database: "test", Relation: rel, Query: q, Seed: 7, Options: fastOpts}, nil)
+				resp, body := postJSONHeaders(t, url+"/v1/volume",
+					volumeRequest{Database: "test", Relation: relation, Query: q, Seed: 7, Options: fastOpts}, nil)
 				if resp.StatusCode != want {
-					t.Errorf("volume %s%s via %s: status %d, body %s", rel, q, url, resp.StatusCode, body)
+					t.Errorf("volume %s via %s: status %d, body %s", name, url, resp.StatusCode, body)
+				}
+				resp, body = postJSONHeaders(t, url+"/v1/expr",
+					exprRequest{Database: "test", Expr: rel(name), Mode: "sample", N: 4, Seed: 7, Options: fastOpts}, nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("expr %s via %s: status %d, body %s", name, url, resp.StatusCode, body)
+				}
+				if resp, _, body := postSQL(t, url, "test", "SELECT * FROM "+name+" SAMPLE 4 SEED 7"); resp.StatusCode != http.StatusOK {
+					t.Errorf("sql %s via %s: status %d, body %s", name, url, resp.StatusCode, body)
 				}
 			}(tc.urls[i], target.relation, target.query, target.wantStatus)
 		}
@@ -182,7 +215,7 @@ func TestClusterSingleOwnershipAndWarmForwarding(t *testing.T) {
 
 	// (a) Every canonical key is warm on exactly one node: the per-node
 	// prepared-cache key sets are pairwise disjoint, and each target's
-	// alias routed its plan to the node the ring names.
+	// plan key landed on the node the ring names.
 	warm := map[string]int{}
 	total := 0
 	for i, s := range tc.nodes {
@@ -197,27 +230,21 @@ func TestClusterSingleOwnershipAndWarmForwarding(t *testing.T) {
 	if total < len(clusterTargets) {
 		t.Fatalf("only %d warm entries cluster-wide, want >= %d", total, len(clusterTargets))
 	}
-	optsKey, ok := routeOptsKey(fastOpts)
-	if !ok {
-		t.Fatal("routeOptsKey failed")
-	}
 	for _, target := range clusterTargets {
-		kind, name, err := runtime.TargetKindName(target.relation, target.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alias := runtime.SamplerKey("test", kind, name, optsKey)
-		owner := tc.ownerIndex(t, alias)
-		// The owner must hold the target's prepared entry locally.
-		if _, _, hit, err := tc.nodes[owner].Runtime().PreparedFor(mustEntry(t, tc.nodes[owner], "test"), target.relation, target.query, mustOptions(t, fastOpts)); err == nil && !hit {
-			t.Errorf("target %s%s: owner node %d had no warm entry", target.relation, target.query, owner)
+		for _, opts := range []*OptionsJSON{fastOpts, nil} {
+			key := planKeyOf(t, "test", testProgram, target.relation+target.query, opts)
+			owner := tc.ownerIndex(t, key)
+			// The owner holds the target's entry (its cached verdict, for
+			// the ∃-query).
+			if cached, _ := tc.nodes[owner].Runtime().Cache().Peek(key); !cached {
+				t.Errorf("target %s%s: owner node %d has no entry under %q", target.relation, target.query, owner, key)
+			}
 		}
 	}
 
 	// (b) A warm forwarded request is served from the owner's cache: the
 	// response crosses back with the owner hint and a cache hit label.
-	aliasS := runtime.SamplerKey("test", "rel", "S", optsKey)
-	owner := tc.ownerIndex(t, aliasS)
+	owner := tc.ownerIndex(t, planKeyOf(t, "test", testProgram, "S", fastOpts))
 	ingress := (owner + 1) % len(tc.nodes)
 	resp, body := postJSONHeaders(t, tc.urls[ingress]+"/v1/sample",
 		sampleRequest{Database: "test", Relation: "S", N: 4, Seed: 9, Options: fastOpts}, nil)
@@ -250,54 +277,31 @@ func TestClusterSingleOwnershipAndWarmForwarding(t *testing.T) {
 	}
 }
 
-// mustEntry resolves a registered database entry.
-func mustEntry(t testing.TB, s *Server, id string) *runtime.DatabaseEntry {
-	t.Helper()
-	e, ok := s.Registry().Get(id)
-	if !ok {
-		t.Fatalf("database %q not registered", id)
-	}
-	return e
-}
-
-// mustOptions decodes wire options the way the handlers do.
-func mustOptions(t testing.TB, o *OptionsJSON) cdb.Options {
-	t.Helper()
-	opts, err := o.toOptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return opts
-}
-
 func TestClusterBreakerFallback(t *testing.T) {
 	tc := newTestCluster(t, 3, func(i int, cfg *Config) {
 		cfg.Cluster.Breaker = cluster.BreakerConfig{Threshold: 1, Cooldown: time.Minute}
 	})
-	// Eight single-interval relations guarantee the dead node owns at
-	// least one key from node 0's vantage point. Distinct upper bounds
-	// keep their canonical plans — and so their cache entries — distinct
-	// (identical geometry would dedup into one shared plan key).
-	src := ""
-	names := []string{"R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7"}
-	for i, n := range names {
-		src += "rel " + n + "(x) := { x >= 0, x <= " + strconv.Itoa(i+1) + " };\n"
-	}
-	register(t, tc.urls[0], "many", src)
-
-	optsKey, _ := routeOptsKey(fastOpts)
+	// Single-interval relations are added until the dead node owns at
+	// least one of their plan keys — the key /v1/sample routes on — from
+	// node 0's vantage point. Distinct upper bounds keep their canonical
+	// plans, and so their cache entries, distinct (identical geometry
+	// would dedup into one shared plan key).
 	dead := 2
-	tc.tss[dead].Close() // kill node 2's listener; its Server object survives
-
+	src := ""
 	var deadOwned []string
-	for _, n := range names {
-		if tc.ownerIndex(t, runtime.SamplerKey("many", "rel", n, optsKey)) == dead {
-			deadOwned = append(deadOwned, n)
+	for i := 0; len(deadOwned) == 0; i++ {
+		if i == 64 {
+			t.Fatal("ring assigned none of 64 plan keys to the dead node")
+		}
+		name := "R" + strconv.Itoa(i)
+		decl := "rel " + name + "(x) := { x >= 0, x <= " + strconv.Itoa(i+1) + " };\n"
+		src += decl
+		if tc.ownerIndex(t, planKeyOf(t, "many", decl, name, fastOpts)) == dead {
+			deadOwned = append(deadOwned, name)
 		}
 	}
-	if len(deadOwned) == 0 {
-		t.Fatal("ring assigned no relation to the dead node — enlarge the key set")
-	}
+	register(t, tc.urls[0], "many", src)
+	tc.tss[dead].Close() // kill node 2's listener; its Server object survives
 
 	// (c) Requests keep succeeding: the first attempt pays a transport
 	// failure, trips the breaker (threshold 1) and computes locally; the
@@ -371,10 +375,9 @@ func TestClusterHealthzReadiness(t *testing.T) {
 	register(t, tc.urls[0], "test", testProgram)
 	tc.tss[1].Close()
 
-	optsKey, _ := routeOptsKey(fastOpts)
 	// Trip the only peer's breaker with a request it owns.
 	for _, rel := range []string{"S", "B"} {
-		if tc.ownerIndex(t, runtime.SamplerKey("test", "rel", rel, optsKey)) == 1 {
+		if tc.ownerIndex(t, planKeyOf(t, "test", testProgram, rel, fastOpts)) == 1 {
 			resp, _ := postJSONHeaders(t, tc.urls[0]+"/v1/sample",
 				sampleRequest{Database: "test", Relation: rel, N: 1, Seed: 1, Options: fastOpts}, nil)
 			if resp.StatusCode != http.StatusOK {

@@ -307,8 +307,8 @@ type planExec struct {
 // /v1/sql, so both surfaces hit the same prepared-plan cache entries
 // and report the same cache labels. Returns false after writing an
 // error response.
-func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint string, entry *DatabaseEntry, cp *query.CanonicalPlan, opts cdb.Options, x planExec, resp *exprResponse) bool {
-	if x.mode == "explain" {
+func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint string, entry *runtime.DatabaseEntry, cp *query.CanonicalPlan, opts cdb.Options, p planExec, resp *exprResponse) bool {
+	if p.mode == "explain" {
 		key := runtime.PlanKey(entry.ID, cp.Key, opts.CacheKey())
 		resp.Cache = peekLabel(s.rt, key)
 		resp.Plan = cp.Plan.Describe()
@@ -330,41 +330,27 @@ func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint s
 		return true
 	}
 
-	ps, key, hit, err := s.rt.PreparedPlan(entry, cp, opts)
-	resp.Cache = cacheLabel(hit)
-	if hit && runtime.IsNegative(err) {
+	x, err := s.rt.Exec(entry, cp, opts, nil)
+	if err != nil {
+		s.writeError(w, endpoint, http.StatusUnprocessableEntity, err)
+		return false
+	}
+	resp.Cache = cacheLabel(x.Hit)
+	if _, verr := x.Sampler(); x.Hit && runtime.IsNegative(verr) {
 		// A replayed cached verdict (empty or projection-needing plan):
 		// distinguish it from warm prepared geometry.
 		resp.Cache = "negative"
 	}
-	switch x.mode {
+	switch p.mode {
 	case "volume":
-		switch {
-		case errors.Is(err, runtime.ErrEmptyExpr):
-			// The empty set has volume 0; replays serve the cached verdict.
-			zero := 0.0
-			resp.Volume = &zero
-		case errors.Is(err, runtime.ErrNeedsProjection):
-			eng := cdb.NewEngine(entry.DB.Schema, ctxOptions(r.Context(), opts), x.seed)
-			v, verr := eng.EstimateVolumeFromPlan(cp.Plan)
-			if verr != nil {
-				s.writeError(w, endpoint, http.StatusInternalServerError, verr)
-				return false
-			}
-			resp.Volume = &v
-		case err != nil:
-			s.writeError(w, endpoint, http.StatusUnprocessableEntity, err)
+		v, err := x.Volume(r.Context(), nil)
+		if err != nil {
+			s.writeError(w, endpoint, http.StatusInternalServerError, err)
 			return false
-		default:
-			v, verr := ps.VolumeCtx(r.Context(), runtime.PrepSeedFor(key+"\x1fvolume"))
-			if verr != nil {
-				s.writeError(w, endpoint, http.StatusInternalServerError, verr)
-				return false
-			}
-			resp.Volume = &v
 		}
+		resp.Volume = &v
 	case "sample":
-		n := x.n
+		n := p.n
 		if n <= 0 {
 			n = 1
 		}
@@ -373,43 +359,20 @@ func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint s
 				fmt.Errorf("n=%d exceeds the per-request cap %d", n, s.cfg.MaxSamples))
 			return false
 		}
-		switch {
-		case errors.Is(err, runtime.ErrNeedsProjection):
-			eng := cdb.NewEngine(entry.DB.Schema, ctxOptions(r.Context(), opts), x.seed)
-			obs, oerr := eng.ObservableFromPlan(cp.Plan)
-			if oerr != nil {
-				s.writeError(w, endpoint, http.StatusInternalServerError, oerr)
-				return false
-			}
-			pts := make([]cdb.Vector, 0, n)
-			for i := 0; i < n; i++ {
-				pt, serr := obs.Sample()
-				if serr != nil {
-					s.writeError(w, endpoint, http.StatusInternalServerError, serr)
-					return false
-				}
-				pts = append(pts, pt)
-			}
-			resp.Points = pts
-		case err != nil:
-			s.writeError(w, endpoint, http.StatusUnprocessableEntity, err)
-			return false
-		default:
-			workers := x.workers
-			if workers <= 0 {
-				workers = s.cfg.DefaultWorkers
-			}
-			pts, coalesced, serr := s.rt.Executor().SampleManyCtx(r.Context(), key, ps, n, workers, x.seed)
-			if serr != nil {
-				s.writeError(w, endpoint, http.StatusInternalServerError, serr)
-				return false
-			}
-			resp.Points, resp.Coalesced = pts, coalesced
+		workers := p.workers
+		if workers <= 0 {
+			workers = s.cfg.DefaultWorkers
 		}
+		pts, coalesced, err := x.SampleN(r.Context(), n, workers, p.seed)
+		if err != nil {
+			s.writeError(w, endpoint, http.StatusInternalServerError, err)
+			return false
+		}
+		resp.Points, resp.Coalesced = pts, coalesced
 		s.metrics.SamplesServed.Add(int64(len(resp.Points)))
 	default:
 		s.writeError(w, endpoint, http.StatusBadRequest,
-			fmt.Errorf("unknown mode %q (want volume, sample, explain or symbolic)", x.mode))
+			fmt.Errorf("unknown mode %q (want volume, sample, explain or symbolic)", p.mode))
 		return false
 	}
 	return true
@@ -422,7 +385,7 @@ func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint s
 // irrelevant — symbolic evaluation is exact, so every configuration
 // shares one cache entry per canonical plan. Returns false after
 // writing an error response.
-func (s *Server) execSymbolic(w http.ResponseWriter, r *http.Request, endpoint string, entry *DatabaseEntry, sq *query.SymbolicQuery, resp *exprResponse) bool {
+func (s *Server) execSymbolic(w http.ResponseWriter, r *http.Request, endpoint string, entry *runtime.DatabaseEntry, sq *query.SymbolicQuery, resp *exprResponse) bool {
 	se, _, hit, err := s.rt.Symbolic(r.Context(), entry, sq)
 	resp.Columns = sq.OutVars
 	resp.CanonicalKey = sq.Key

@@ -10,6 +10,8 @@ import (
 	"math"
 	"net/http"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 const exprProgram = `
@@ -97,7 +99,7 @@ func TestExprEndpointSharesWithNamedSample(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("named sample: status %d (%s)", resp.StatusCode, body)
 	}
-	misses := s.metrics.CacheMisses.Load()
+	misses := planEvents(s.metrics, obs.Miss)
 	resp2, out, body := postExpr(t, ts.URL, exprRequest{Database: dbID, Expr: rel("A"), Mode: "sample", N: 4, Seed: 1, Options: fastOpts})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("expr sample: status %d (%s)", resp2.StatusCode, body)
@@ -105,7 +107,7 @@ func TestExprEndpointSharesWithNamedSample(t *testing.T) {
 	if out.Cache != "hit" {
 		t.Fatalf("expr over warm named relation = %q, want hit", out.Cache)
 	}
-	if got := s.metrics.CacheMisses.Load(); got != misses {
+	if got := planEvents(s.metrics, obs.Miss); got != misses {
 		t.Fatalf("expr over warm named relation paid %d cold builds", got-misses)
 	}
 }
@@ -171,7 +173,7 @@ func TestExprEndpointExplain(t *testing.T) {
 	if out.Disjuncts[0].Kind != "convex" || out.Disjuncts[0].Cache != "miss" {
 		t.Fatalf("disjunct = %+v", out.Disjuncts[0])
 	}
-	if s.metrics.CacheMisses.Load() != 0 {
+	if planEvents(s.metrics, obs.Miss) != 0 {
 		t.Fatal("explain populated the cache")
 	}
 

@@ -170,7 +170,7 @@ type databaseResponse struct {
 	Queries   []queryInfo    `json:"queries"`
 }
 
-func describeDatabase(e *DatabaseEntry, created bool) databaseResponse {
+func describeDatabase(e *runtime.DatabaseEntry, created bool) databaseResponse {
 	resp := databaseResponse{
 		ID:        e.ID,
 		Name:      e.Name,
@@ -202,9 +202,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
-		case errors.Is(err, ErrConflict):
+		case errors.Is(err, runtime.ErrConflict):
 			status = http.StatusConflict
-		case errors.Is(err, ErrRegistryFull):
+		case errors.Is(err, runtime.ErrRegistryFull):
 			status = http.StatusInsufficientStorage
 		}
 		s.writeError(w, "databases", status, err)
@@ -250,32 +250,33 @@ func (s *Server) handleGetDatabase(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// --- sampler resolution -------------------------------------------------
-
-// errNeedsProjection marks a query whose sampling plan requires the
-// projection generator (Algorithm 2) and therefore cannot be served
-// from the prepared-sampler cache (the client uses POST /v1/query).
-var errNeedsProjection = runtime.ErrNeedsProjection
+// --- name-addressed targets ---------------------------------------------
 
 // errTargetNotFound marks a relation or query name absent from its
 // database — a 404, like an unknown database id.
 var errTargetNotFound = runtime.ErrTargetNotFound
 
-// preparedFor returns the cached prepared sampler for the target from
-// the shared runtime, building it on first use. Projection-needing
-// queries gain the HTTP-level hint the runtime cannot know about.
-func (s *Server) preparedFor(e *DatabaseEntry, relName, queryName string, opts cdb.Options) (*cdb.PreparedSampler, string, bool, error) {
-	ps, key, hit, err := s.rt.PreparedFor(e, relName, queryName, opts)
-	return ps, key, hit, hintProjection(err)
+// namedExec resolves a name-addressed request (/v1/sample, /v1/volume,
+// /v1/reconstruct) to the canonical plan db.Rel(name) compiles — the
+// key its routing hashes — and resolves the plan against the prepared
+// cache.
+func (s *Server) namedExec(e *runtime.DatabaseEntry, relName, queryName string, opts cdb.Options) (*runtime.Exec, error) {
+	cp, err := e.Target(relName, queryName)
+	if err != nil {
+		return nil, err
+	}
+	return s.rt.Exec(e, cp, opts, nil)
 }
 
-// hintProjection decorates the runtime's projection error with the
-// endpoint that does serve such queries.
-func hintProjection(err error) error {
-	if errors.Is(err, errNeedsProjection) {
+// needsQueryEndpoint is the 400 guard of /v1/sample and /v1/volume:
+// they serve plans with a prepared sampler, and a plan needing the
+// projection generator (whose verdict the owner has now cached) is
+// evaluated through POST /v1/query instead.
+func needsQueryEndpoint(x *runtime.Exec) error {
+	if _, err := x.Sampler(); errors.Is(err, runtime.ErrNeedsProjection) {
 		return fmt.Errorf("%w; use POST /v1/query", err)
 	}
-	return err
+	return nil
 }
 
 // ctxOptions wires the request context into the options' Interrupt
@@ -357,12 +358,15 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		workers = s.cfg.DefaultWorkers
 	}
 	start := time.Now()
-	ps, key, hit, err := s.preparedFor(entry, req.Relation, req.Query, opts)
+	x, err := s.namedExec(entry, req.Relation, req.Query, opts)
+	if err == nil {
+		err = needsQueryEndpoint(x)
+	}
 	if err != nil {
 		s.writeError(w, "sample", http.StatusBadRequest, err)
 		return
 	}
-	pts, coalesced, err := s.rt.Executor().SampleManyCtx(r.Context(), key, ps, n, workers, req.Seed)
+	pts, coalesced, err := x.SampleN(r.Context(), n, workers, req.Seed)
 	if err != nil {
 		s.writeError(w, "sample", http.StatusInternalServerError, err)
 		return
@@ -374,7 +378,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		N:         n,
 		Workers:   workers,
 		Seed:      req.Seed,
-		Cache:     cacheLabel(hit),
+		Cache:     cacheLabel(x.Hit),
 		Coalesced: coalesced,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 		TraceID:   traceID(r.Context()),
@@ -470,39 +474,32 @@ func (s *Server) handleVolume(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	resp := volumeResponse{Database: entry.ID, Target: firstNonEmpty(req.Relation, req.Query), TraceID: traceID(r.Context())}
+	x, err := s.namedExec(entry, req.Relation, req.Query, opts)
+	if err == nil {
+		err = needsQueryEndpoint(x)
+	}
+	if err != nil {
+		s.writeError(w, "volume", http.StatusBadRequest, err)
+		return
+	}
 	if req.MedianK > 1 {
-		rel, _, _, err := runtime.ResolveTarget(entry, req.Relation, req.Query, opts)
-		if err != nil {
-			s.writeError(w, "volume", http.StatusBadRequest, hintProjection(err))
-			return
+		// k independent cold estimators over the canonical relation.
+		rel, err := x.Plan.Relation(resp.Target)
+		if err == nil {
+			resp.Volume, err = cdb.MedianVolume(rel, req.MedianK, req.Seed, ctxOptions(r.Context(), opts))
 		}
-		v, err := cdb.MedianVolume(rel, req.MedianK, req.Seed, ctxOptions(r.Context(), opts))
 		if err != nil {
 			s.writeError(w, "volume", http.StatusInternalServerError, err)
 			return
 		}
-		resp.Volume, resp.Method = v, "median"
+		resp.Method = "median"
 	} else {
-		ps, _, hit, err := s.preparedFor(entry, req.Relation, req.Query, opts)
-		if errors.Is(err, runtime.ErrEmptyExpr) {
-			// The empty set has volume 0 — same contract as the library
-			// and /v1/expr; replays serve the cached verdict.
-			resp.Volume, resp.Method, resp.Cache = 0, "prepared", cacheLabel(hit)
-			resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-			resp.Spans = traceSpans(r.Context(), req.Trace)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		if err != nil {
-			s.writeError(w, "volume", http.StatusBadRequest, err)
-			return
-		}
-		v, err := ps.VolumeCtx(r.Context(), req.Seed)
+		v, err := x.Volume(r.Context(), &req.Seed)
 		if err != nil {
 			s.writeError(w, "volume", http.StatusInternalServerError, err)
 			return
 		}
-		resp.Volume, resp.Method, resp.Cache = v, "prepared", cacheLabel(hit)
+		resp.Volume, resp.Method, resp.Cache = v, "prepared", cacheLabel(x.Hit)
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	resp.Spans = traceSpans(r.Context(), req.Trace)
@@ -696,50 +693,20 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp := reconstructResponse{Database: entry.ID, Target: firstNonEmpty(req.Relation, req.Query), N: n, Seed: req.Seed}
 
-	// Queries with existential quantifiers need Algorithm 5 through the
-	// engine; everything else reconstructs from the cached sampler.
-	ps, _, hit, err := s.preparedFor(entry, req.Relation, req.Query, opts)
-	if errors.Is(err, errNeedsProjection) {
-		// resolveTarget found the query before reporting ∃-variables, so
-		// the lookup cannot miss here.
-		q, _ := entry.DB.Query(req.Query)
-		eng := cdb.NewEngine(entry.DB.Schema, ctxOptions(r.Context(), opts), req.Seed)
-		est, err := eng.Reconstruct(q, n)
-		if err != nil {
-			s.writeError(w, "reconstruct", http.StatusInternalServerError, err)
-			return
-		}
-		resp.Dim = est.Dim()
-		for _, h := range est.Hulls {
-			verts := hullVertices(h)
-			resp.Hulls = append(resp.Hulls, hullJSON{Vertices: verts})
-			resp.VertexCount += len(verts)
-		}
-		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
+	x, err := s.namedExec(entry, req.Relation, req.Query, opts)
 	if err != nil {
 		s.writeError(w, "reconstruct", http.StatusBadRequest, err)
 		return
 	}
-	// One hull per convex tuple (Algorithm 5's per-disjunct estimators):
-	// a single hull over a multi-tuple union would report the gaps
-	// between tuples as part of the set.
-	resp.Cache = cacheLabel(hit)
-	resp.Dim = ps.Dim()
-	for i := 0; i < ps.Tuples(); i++ {
-		gen, err := ps.NewMemberObservable(i, req.Seed)
-		if err != nil {
-			s.writeError(w, "reconstruct", http.StatusInternalServerError, err)
-			return
-		}
-		hull, err := cdb.ReconstructConvex(gen, n)
-		if err != nil {
-			s.writeError(w, "reconstruct", http.StatusInternalServerError, err)
-			return
-		}
-		verts := hullVertices(hull)
+	est, err := x.Reconstruct(r.Context(), n, req.Seed)
+	if err != nil {
+		s.writeError(w, "reconstruct", http.StatusInternalServerError, err)
+		return
+	}
+	resp.Cache = cacheLabel(x.Hit)
+	resp.Dim = est.Dim()
+	for _, h := range est.Hulls {
+		verts := hullVertices(h)
 		resp.Hulls = append(resp.Hulls, hullJSON{Vertices: verts})
 		resp.VertexCount += len(verts)
 	}

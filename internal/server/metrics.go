@@ -33,12 +33,9 @@ type Metrics struct {
 	routeEvents map[string]*atomic.Int64  // per {endpoint,decision} routing verdicts
 	shedEvents  map[string]*atomic.Int64  // per {endpoint,reason} admission sheds
 
-	CacheHits      atomic.Int64
-	CacheMisses    atomic.Int64
-	CacheEvictions atomic.Int64
-	Coalesced      atomic.Int64 // sample requests served by another request's draw
-	BatchJobs      atomic.Int64 // worker-pool jobs executed
-	SamplesServed  atomic.Int64 // points returned across all sample responses
+	Coalesced     atomic.Int64 // sample requests served by another request's draw
+	BatchJobs     atomic.Int64 // worker-pool jobs executed
+	SamplesServed atomic.Int64 // points returned across all sample responses
 }
 
 // stageBuckets are the histogram upper bounds (seconds) of
@@ -112,19 +109,10 @@ func (m *Metrics) counter(set map[string]*atomic.Int64, key string) *atomic.Int6
 // pool events through these, keeping the counters (and their
 // Prometheus rendering) where the HTTP layer owns them.
 
-// CacheEvent records one cache lookup outcome, both per {kind,outcome}
-// (cdbserve_cache_events_total) and in the legacy aggregate scalars —
-// negative hits count as hits there, matching DB.CacheStats.
+// CacheEvent records one cache lookup outcome per {kind,outcome}
+// (cdbserve_cache_events_total).
 func (m *Metrics) CacheEvent(kind obs.CacheKind, outcome obs.CacheOutcome) {
 	m.counter(m.cacheEvents, kind.String()+"|"+outcome.String()).Add(1)
-	switch outcome {
-	case obs.Hit, obs.NegativeHit:
-		m.CacheHits.Add(1)
-	case obs.Miss:
-		m.CacheMisses.Add(1)
-	case obs.Eviction:
-		m.CacheEvictions.Add(1)
-	}
 }
 
 // CoalescedDraw records a batched draw served by an identical in-flight
@@ -343,9 +331,6 @@ func (m *Metrics) WriteTo(w io.Writer, gauges map[string]float64) {
 	scalar := func(name, help, typ string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
 	}
-	scalar("cdbserve_sampler_cache_hits_total", "Prepared-sampler cache hits.", "counter", float64(m.CacheHits.Load()))
-	scalar("cdbserve_sampler_cache_misses_total", "Prepared-sampler cache misses (cold builds).", "counter", float64(m.CacheMisses.Load()))
-	scalar("cdbserve_sampler_cache_evictions_total", "Prepared samplers evicted by the LRU.", "counter", float64(m.CacheEvictions.Load()))
 	scalar("cdbserve_coalesced_requests_total", "Sample requests served by an identical in-flight draw.", "counter", float64(m.Coalesced.Load()))
 	scalar("cdbserve_batch_jobs_total", "Jobs executed on the sampling worker pool.", "counter", float64(m.BatchJobs.Load()))
 	scalar("cdbserve_samples_served_total", "Sample points returned across all responses.", "counter", float64(m.SamplesServed.Load()))

@@ -172,7 +172,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Registry exposes the database registry (used by cmd/cdbserve to
 // preload programs at boot).
-func (s *Server) Registry() *Registry { return s.rt.Registry() }
+func (s *Server) Registry() *runtime.Registry { return s.rt.Registry() }
 
 // Runtime exposes the shared sampling runtime.
 func (s *Server) Runtime() *runtime.Runtime { return s.rt }

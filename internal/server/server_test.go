@@ -17,6 +17,8 @@ import (
 	"time"
 
 	cdb "repro"
+	"repro/internal/obs"
+	"repro/internal/runtime"
 )
 
 const testProgram = `
@@ -69,6 +71,12 @@ func register(t testing.TB, baseURL, name, source string) string {
 		t.Fatalf("decode register response: %v", err)
 	}
 	return out.ID
+}
+
+// planEvents reads the cdbserve_cache_events_total{kind="plan"} counter
+// of one outcome.
+func planEvents(m *Metrics, outcome obs.CacheOutcome) int64 {
+	return m.counter(m.cacheEvents, obs.KindPlan.String()+"|"+outcome.String()).Load()
 }
 
 func inSimplex(p cdb.Vector) bool {
@@ -448,7 +456,7 @@ func TestReconstructEndpoint(t *testing.T) {
 func TestSamplerCacheSingleflightSharing(t *testing.T) {
 	// 100 parallel requests for the same key must produce exactly one
 	// build, and every caller must receive the one shared sampler.
-	cache := NewSamplerCache(8, NewMetrics())
+	cache := runtime.NewKindCache[*cdb.PreparedSampler](8, obs.KindPlan, NewMetrics())
 	rel := cdb.MustRelation("S", []string{"x", "y"}, cdb.Simplex(2, 1))
 	var builds atomic.Int64
 	build := func() (*cdb.PreparedSampler, error) {
@@ -485,7 +493,7 @@ func TestSamplerCacheSingleflightSharing(t *testing.T) {
 
 func TestSamplerCacheLRUEviction(t *testing.T) {
 	m := NewMetrics()
-	cache := NewSamplerCache(1, m)
+	cache := runtime.NewKindCache[*cdb.PreparedSampler](1, obs.KindPlan, m)
 	rel := cdb.MustRelation("S", []string{"x", "y"}, cdb.Simplex(2, 1))
 	build := func() (*cdb.PreparedSampler, error) {
 		return cdb.PrepareSampler(rel, 1, cdb.DefaultOptions())
@@ -499,7 +507,7 @@ func TestSamplerCacheLRUEviction(t *testing.T) {
 	if _, hit, err := cache.Get("a", build); err != nil || hit {
 		t.Fatalf("a after eviction: hit=%v err=%v (want rebuilt miss)", hit, err)
 	}
-	if ev := m.CacheEvictions.Load(); ev < 1 {
+	if ev := planEvents(m, obs.Eviction); ev < 1 {
 		t.Fatalf("evictions = %d, want >= 1", ev)
 	}
 	if cache.Len() != 1 {
@@ -508,7 +516,7 @@ func TestSamplerCacheLRUEviction(t *testing.T) {
 }
 
 func TestSamplerCacheFailedBuildNotCached(t *testing.T) {
-	cache := NewSamplerCache(4, nil)
+	cache := runtime.NewKindCache[*cdb.PreparedSampler](4, obs.KindPlan, nil)
 	calls := 0
 	failing := func() (*cdb.PreparedSampler, error) {
 		calls++
@@ -680,7 +688,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 	for _, want := range []string{
 		`cdbserve_requests_total{endpoint="sample"} 1`,
 		`cdbserve_requests_total{endpoint="databases"} 1`,
-		"cdbserve_sampler_cache_misses_total 1",
+		`cdbserve_cache_events_total{kind="plan",outcome="miss"} 1`,
 		"cdbserve_samples_served_total 5",
 		"cdbserve_databases 1",
 		"cdbserve_sampler_cache_size 1",
@@ -759,7 +767,7 @@ func TestRegistryCapacity(t *testing.T) {
 }
 
 func TestPoolSubmitAfterCloseRunsInline(t *testing.T) {
-	p := NewPool(2, nil)
+	p := runtime.NewPoolWithSink(2, nil)
 	p.Close()
 	ran := false
 	p.Submit(func() { ran = true }) // must not panic on the closed channel

@@ -213,7 +213,7 @@ func (s *Server) handleSpacetimeSample(w http.ResponseWriter, r *http.Request) {
 		ps, key, hit, err = s.rt.PreparedWindow(entry, req.Relation, *req.T0, *req.T1, opts)
 	} else {
 		// No window: share the cache entry with plain /v1/sample.
-		ps, key, hit, err = s.preparedFor(entry, req.Relation, "", opts)
+		ps, key, hit, err = s.rt.PreparedFor(entry, req.Relation, "", opts)
 	}
 	if err != nil {
 		s.writeError(w, endpoint, http.StatusBadRequest, err)

@@ -156,7 +156,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 // sqlExplainSymbolic serves EXPLAIN SYMBOLIC (and plain EXPLAIN of a
 // full first-order statement): report the symbolic cache key and its
 // residency without evaluating anything.
-func (s *Server) sqlExplainSymbolic(w http.ResponseWriter, entry *DatabaseEntry, node *query.Node, resp *sqlResponse) bool {
+func (s *Server) sqlExplainSymbolic(w http.ResponseWriter, entry *runtime.DatabaseEntry, node *query.Node, resp *sqlResponse) bool {
 	sq, err := node.CompileSymbolic(entry.DB)
 	if err != nil {
 		s.writeError(w, "sql", http.StatusUnprocessableEntity, err)

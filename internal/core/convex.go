@@ -256,13 +256,23 @@ func (c *Convex) Contains(x linalg.Vector) bool { return c.body.Contains(x) }
 // Q(K); for the grid walk this is a vertex of the γ-grid graph, which is
 // the exact object of Definition 2.2.
 func (c *Convex) SampleRounded() (linalg.Vector, error) {
+	y, err := c.walkEpoch()
+	if err != nil {
+		return nil, err
+	}
+	return y.Clone(), nil
+}
+
+// walkEpoch runs the next mixing epoch — the burn-in on first use, thin
+// steps after — and returns the walker's position buffer (aliased).
+func (c *Convex) walkEpoch() (linalg.Vector, error) {
 	steps := c.thin
 	burning := !c.mixed
 	if burning {
 		steps = c.burnIn
 		c.mixed = true
 	}
-	pt := c.walker.Sample(steps)
+	pt := c.walker.Run(steps)
 	if err := c.walker.Err(); err != nil {
 		if burning {
 			// The burn-in was aborted mid-epoch: the walker is not mixed,
@@ -276,14 +286,15 @@ func (c *Convex) SampleRounded() (linalg.Vector, error) {
 	return pt, nil
 }
 
-// Sample returns an almost-uniform point of the original body (the
-// rounded sample mapped back through Q⁻¹).
+// Sample returns an almost-uniform point of the original body: the
+// walker's rounded-space position mapped back through Q⁻¹ straight into
+// the one vector returned.
 func (c *Convex) Sample() (linalg.Vector, error) {
-	y, err := c.SampleRounded()
+	y, err := c.walkEpoch()
 	if err != nil {
 		return nil, err
 	}
-	return c.rounded.Map.Invert(y), nil
+	return c.rounded.Map.InvertInto(make(linalg.Vector, len(y)), y), nil
 }
 
 // Volume returns the (ε, δ)-relative volume estimate via the telescoping

@@ -1,0 +1,7 @@
+//go:build race
+
+package core
+
+// raceEnabled is true under -race, whose instrumentation allocates on
+// its own: the allocation guards skip themselves then.
+const raceEnabled = true

@@ -9,7 +9,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -20,6 +19,11 @@ var ErrSingular = errors.New("linalg: singular matrix")
 // ErrNotSPD is returned by Cholesky when the input is not symmetric
 // positive definite.
 var ErrNotSPD = errors.New("linalg: matrix not positive definite")
+
+// errDotMismatch is Dot's panic value for vectors of unequal length. A
+// sentinel rather than a formatted message keeps Dot small enough to
+// inline into the membership and chord loops that call it per row.
+var errDotMismatch = errors.New("linalg: Dot dimension mismatch")
 
 // Vector is a point or direction in R^d.
 type Vector []float64
@@ -37,7 +41,7 @@ func (v Vector) Clone() Vector {
 // Dot returns the inner product v·w. The vectors must have equal length.
 func (v Vector) Dot(w Vector) float64 {
 	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: Dot dimension mismatch %d vs %d", len(v), len(w)))
+		panic(errDotMismatch)
 	}
 	var s float64
 	for i, x := range v {
@@ -408,11 +412,28 @@ func (a *AffineMap) Apply(x Vector) Vector {
 
 // Invert returns M^{-1} (y - T).
 func (a *AffineMap) Invert(y Vector) Vector {
-	z := y.Clone()
-	for i := range z {
-		z[i] -= a.T[i]
+	return a.InvertInto(make(Vector, len(y)), y)
+}
+
+// InvertInto writes M^{-1} (y - T) into dst and returns dst, with
+// Invert's arithmetic bit for bit: each y_j - T_j is formed once and the
+// products are summed row by row from zero. dst must have y's length and
+// must not overlap y.
+func (a *AffineMap) InvertInto(dst, y Vector) Vector {
+	n := a.inv.Cols
+	if len(y) != n || len(dst) != a.inv.Rows {
+		panic("linalg: InvertInto dimension mismatch")
 	}
-	return a.inv.MulVec(z)
+	y, t := y[:n], a.T[:n]
+	for i := range dst {
+		row := a.inv.Data[i*n : (i+1)*n]
+		var s float64
+		for j, x := range row {
+			s += x * (y[j] - t[j])
+		}
+		dst[i] = s
+	}
+	return dst
 }
 
 // DetAbs returns |det M|, the volume scaling factor of the map.

@@ -260,3 +260,46 @@ func TestIdentityMap(t *testing.T) {
 		t.Error("identity determinant != 1")
 	}
 }
+
+// TestInvertIntoMatchesMulVec: InvertInto forms M⁻¹(y − T) with the
+// arithmetic of subtracting T into a copy and multiplying by the cached
+// inverse, bit for bit — the walk's samples depend on it.
+func TestInvertIntoMatchesMulVec(t *testing.T) {
+	r := rng.New(5)
+	for trial := 0; trial < 50; trial++ {
+		d := 1 + trial%6
+		m := NewMatrix(d, d)
+		for i := range m.Data {
+			m.Data[i] = r.Normal()
+		}
+		for i := 0; i < d; i++ {
+			m.Set(i, i, m.At(i, i)+3)
+		}
+		tr := make(Vector, d)
+		y := make(Vector, d)
+		for i := range tr {
+			tr[i], y[i] = r.Normal(), 10*r.Normal()
+		}
+		am, err := NewAffineMap(m, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := y.Clone()
+		for i := range z {
+			z[i] -= tr[i]
+		}
+		want := am.inv.MulVec(z)
+		got := am.InvertInto(make(Vector, d), y)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("d=%d: InvertInto = %v, want %v", d, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("InvertInto with a short destination must panic")
+		}
+	}()
+	IdentityMap(3).InvertInto(make(Vector, 2), Vector{1, 2, 3})
+}

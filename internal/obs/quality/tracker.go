@@ -133,6 +133,17 @@ func (t *Tracker) Bind(key string, lo, hi linalg.Vector, memberVols []float64) {
 	t.m[key] = e
 }
 
+// Forget drops key and everything accumulated under it: the sampler it
+// tracked has left the cache. A later Bind starts the key afresh.
+func (t *Tracker) Forget(key string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	delete(t.m, key)
+	t.mu.Unlock()
+}
+
 // ObserveDraw folds one executed batch of draws into the accumulator:
 // cell counts, member draw shares, walk effort and the ESS stream. A
 // key that was never Bind-ed is ignored.
@@ -249,8 +260,9 @@ func (t *Tracker) RecordAudit(key string, events []obs.AuditEvent) {
 	}
 }
 
-// Flagged returns the keys currently quarantined by a failing audit,
-// sorted.
+// Flagged returns the tracked keys currently quarantined by a failing
+// audit, sorted. The runtime forgets a key when its sampler is evicted,
+// so these are resident samplers.
 func (t *Tracker) Flagged() []string {
 	if t == nil {
 		return nil
@@ -264,6 +276,9 @@ func (t *Tracker) Flagged() []string {
 	var out []string
 	for _, k := range keys {
 		e := t.lookup(k)
+		if e == nil {
+			continue // forgotten since the snapshot
+		}
 		e.mu.Lock()
 		f := e.flagged
 		e.mu.Unlock()

@@ -102,8 +102,10 @@ type AuditStats struct {
 	Passes int64 `json:"passes"`
 	Warns  int64 `json:"warns"`
 	Fails  int64 `json:"fails"`
-	// Flagged lists the cache keys currently quarantined by a failing
-	// audit (flagged in reports and Explain — never evicted).
+	// Flagged lists the cache keys of resident samplers currently
+	// quarantined by a failing audit (flagged in reports and Explain —
+	// never evicted for it). A sampler the plan cache evicts leaves the
+	// list with the rest of its quality state.
 	Flagged []string `json:"flagged,omitempty"`
 }
 
@@ -179,6 +181,17 @@ func (a *Auditor) register(key string, rel *constraint.Relation, ps *Prepared) {
 	a.entries[key] = &auditable{key: key, rel: rel, ps: ps}
 }
 
+// forget drops key's registration when it is still the one for ps: the
+// plan cache evicted ps, and a rebuild of the same key that registered
+// in the meantime must stay.
+func (a *Auditor) forget(key string, ps *Prepared) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if ent, ok := a.entries[key]; ok && ent.ps == ps {
+		delete(a.entries, key)
+	}
+}
+
 // Start launches the background sweep loop at the configured interval.
 // A zero interval (or a second Start) is a no-op. The loop stops with
 // the runtime's Close.
@@ -240,11 +253,11 @@ func (a *Auditor) Stats() AuditStats {
 	}
 }
 
-// RunOnce audits every registered warm entry once (entries evicted
-// from the sampler cache are skipped, not forgotten) and returns the
-// emitted events sorted by key. Safe to call concurrently with the
-// background loop — rounds are per-entry seeded, so verdicts stay
-// deterministic per (key, round).
+// RunOnce audits every registered warm entry once and returns the
+// emitted events sorted by key. Entries leave the registry when the
+// plan cache evicts them; one evicted while the sweep runs is skipped.
+// Safe to call concurrently with the background loop — rounds are
+// per-entry seeded, so verdicts stay deterministic per (key, round).
 func (a *Auditor) RunOnce(ctx context.Context) ([]obs.AuditEvent, error) {
 	a.mu.Lock()
 	keys := make([]string, 0, len(a.entries))

@@ -55,6 +55,10 @@ type Cache[V any] struct {
 	// sink; sink receives per-access outcomes and may be nil.
 	kind obs.CacheKind
 	sink obs.Sink
+
+	// onEvict, when set, hears every evicted entry after c.mu is
+	// released, so state kept beside the cache leaves with its entry.
+	onEvict func(key string, val V)
 }
 
 type cacheSlot[V any] struct {
@@ -160,8 +164,13 @@ func (c *Cache[V]) Get(key string, build func() (V, error)) (val V, hit bool, er
 		// expensively prepared geometry out of the cache.
 		c.ll.MoveToBack(slot.elem)
 	}
-	c.evictLocked(slot)
+	evicted := c.evictLocked(slot)
 	c.mu.Unlock()
+	if c.onEvict != nil {
+		for _, v := range evicted {
+			c.onEvict(v.key, v.val)
+		}
+	}
 	return slot.val, false, slot.err
 }
 
@@ -171,21 +180,23 @@ func (c *Cache[V]) Get(key string, build func() (V, error)) (val V, hit bool, er
 // silently disables at capacity). Within the budget it prefers
 // evicting completed negative entries (cheap verdicts) over positives
 // (expensive geometry), oldest first; in-flight builds are never
-// evicted (their waiters hold the slot anyway). Callers must hold
-// c.mu.
-func (c *Cache[V]) evictLocked(keep *cacheSlot[V]) {
+// evicted (their waiters hold the slot anyway). It returns the evicted
+// slots for the onEvict notification. Callers must hold c.mu.
+func (c *Cache[V]) evictLocked(keep *cacheSlot[V]) (evicted []*cacheSlot[V]) {
 	for c.ll.Len() > c.capacity {
 		victim := c.victimLocked(keep, true) // other negatives first
 		if victim == nil {
 			victim = c.victimLocked(keep, false)
 		}
 		if victim == nil {
-			return // everything over capacity is in flight or keep
+			return evicted // everything over capacity is in flight or keep
 		}
 		c.ll.Remove(victim.elem)
 		delete(c.slots, victim.key)
 		c.event(obs.Eviction)
+		evicted = append(evicted, victim)
 	}
+	return evicted
 }
 
 // victimLocked scans from the eviction end for a completed slot other

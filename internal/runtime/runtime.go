@@ -108,7 +108,19 @@ func NewWithSink(cfg Config, sink obs.Sink) *Runtime {
 	}
 	rt.exec.quality = qt
 	rt.auditor = newAuditor(rt, sink)
+	rt.cache.onEvict = rt.planEvicted
 	return rt
+}
+
+// planEvicted drops an evicted plan's audit registration and quality
+// diagnostics, so the plan cache's capacity bounds the memory they keep
+// too. A draw still running on the evicted sampler may bind its key in
+// the tracker again; the tracker's own key cap bounds such leftovers.
+// The per-key cost table stays: it is capped on its own, and it is what
+// a cost-based planner reads about plans no longer resident.
+func (rt *Runtime) planEvicted(key string, ps *Prepared) {
+	rt.auditor.forget(key, ps)
+	rt.quality.Forget(key)
 }
 
 // Close stops the background auditor, then the worker pool after

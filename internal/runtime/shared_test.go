@@ -1,0 +1,140 @@
+package runtime
+
+import (
+	"context"
+	"math"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/linalg"
+	"repro/internal/obs"
+)
+
+// sharedProgram is an overlapping union inside the audit fragment.
+const sharedProgram = `
+rel U(x, y) := { 0 <= x <= 2, 0 <= y <= 1 } | { 1 <= x <= 3, 0 <= y <= 2 };
+`
+
+// sharedExec prepares U on a fresh runtime.
+func sharedExec(t *testing.T) (*Runtime, *Exec) {
+	t.Helper()
+	rt := NewWithSink(Config{PoolSize: 4, CacheSize: 8}, nil)
+	t.Cleanup(rt.Close)
+	entry, _, err := rt.Registry().Register("shared", sharedProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := entry.Plan("U")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := rt.Exec(entry, cp, testOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt, x
+}
+
+// sharedRun is everything one pass over the prepared union produces.
+type sharedRun struct {
+	draws  [][]linalg.Vector
+	volume float64
+	audits [][]obs.AuditEvent
+}
+
+const (
+	sharedDraws  = 3
+	sharedAudits = 2
+)
+
+// TestSharedGeometryConcurrentBinds pins the ownership rule the walk
+// relies on: a prepared body is shared and immutable, and every mutable
+// buffer belongs to one walker. One prepared union is bound at once by
+// 4-worker draws, a volume estimate and auditor rounds; each output must
+// equal, bit for bit, the same call made serially on a runtime of its
+// own. Run it under -race to check that no walker writes shared memory.
+func TestSharedGeometryConcurrentBinds(t *testing.T) {
+	ctx := context.Background()
+	run := func(concurrent bool) sharedRun {
+		rt, x := sharedExec(t)
+		out := sharedRun{draws: make([][]linalg.Vector, sharedDraws), audits: make([][]obs.AuditEvent, sharedAudits)}
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		var errs []error
+		fail := func(err error) {
+			mu.Lock()
+			errs = append(errs, err)
+			mu.Unlock()
+		}
+		spawn := func(f func()) {
+			if !concurrent {
+				f()
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f()
+			}()
+		}
+		for i := range out.draws {
+			spawn(func() {
+				pts, _, err := x.SampleN(ctx, 64, 4, uint64(i)+1)
+				if err != nil {
+					fail(err)
+				}
+				out.draws[i] = pts
+			})
+		}
+		spawn(func() {
+			seed := uint64(99)
+			v, err := x.Volume(ctx, &seed)
+			if err != nil {
+				fail(err)
+			}
+			out.volume = v
+		})
+		spawn(func() {
+			// Audit rounds are seeded by their round number, so they run
+			// in order within this goroutine.
+			for i := range out.audits {
+				evs, err := rt.Auditor().RunOnce(ctx)
+				if err != nil {
+					fail(err)
+				}
+				out.audits[i] = evs
+			}
+		})
+		wg.Wait()
+		for _, err := range errs {
+			t.Fatal(err)
+		}
+		return out
+	}
+	serial := run(false)
+	conc := run(true)
+	for i := range serial.draws {
+		if len(conc.draws[i]) != len(serial.draws[i]) {
+			t.Fatalf("draw %d: %d points concurrently, %d serially", i, len(conc.draws[i]), len(serial.draws[i]))
+		}
+		for j, p := range serial.draws[i] {
+			for k, v := range p {
+				if math.Float64bits(conc.draws[i][j][k]) != math.Float64bits(v) {
+					t.Fatalf("draw %d point %d: %v concurrently, %v serially", i, j, conc.draws[i][j], p)
+				}
+			}
+		}
+	}
+	if math.Float64bits(conc.volume) != math.Float64bits(serial.volume) {
+		t.Errorf("volume %v concurrently, %v serially", conc.volume, serial.volume)
+	}
+	for i := range serial.audits {
+		if len(serial.audits[i]) == 0 {
+			t.Fatalf("audit round %d emitted no events", i)
+		}
+		if !reflect.DeepEqual(conc.audits[i], serial.audits[i]) {
+			t.Errorf("audit round %d:\n concurrent %+v\n serial     %+v", i, conc.audits[i], serial.audits[i])
+		}
+	}
+}

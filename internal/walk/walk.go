@@ -7,6 +7,20 @@
 // paper's §5 observation that only a membership oracle is needed — which
 // is why polynomial-constraint convex sets sample through the identical
 // code path.
+//
+// Ownership: a Body is shared and immutable. One prepared body serves
+// every walker over it, on any number of goroutines, and nothing writes
+// to it after construction. Every mutable buffer belongs to exactly one
+// Walker: New binds the body into a private form that owns the scratch
+// its membership and chord arithmetic needs (pre-images through a
+// MappedBody's map, a ball chord's offset, a bisection probe), so a step
+// allocates nothing and no two walkers write the same memory. A Walker
+// itself is not safe for concurrent use.
+//
+// Current and Run return the walker's position buffer, not a copy. It
+// holds the position until the next accepted step; after that the walker
+// reuses it for its proposals, so callers must clone it to keep it
+// (Sample does).
 package walk
 
 import (
@@ -88,15 +102,23 @@ func (k Kind) String() string {
 // Walker performs random-walk steps over a body.
 type Walker struct {
 	kind Kind
-	body Body
-	grid geom.Grid // grid walk only
+	// own is the walker's private binding of the body (see bind); exact
+	// reports exact chord support, checked once in New.
+	own   boundBody
+	exact bool
+	dim   int
+	grid  geom.Grid // grid walk only
 	// delta is the ball-walk proposal radius.
 	delta float64
 	// outerRadius bounds the chord search for membership-only bodies.
 	outerRadius float64
-	cur         linalg.Vector
-	r           *rng.RNG
-	dirBuf      linalg.Vector
+	// cur is the position and next the proposal buffer: an accepted
+	// proposal swaps them, so no step clones a point.
+	cur, next linalg.Vector
+	r         *rng.RNG
+	dirBuf    linalg.Vector
+	// probe is the bisection chord's scratch point.
+	probe linalg.Vector
 	// interrupt aborts long runs early (see Config.Interrupt); err holds
 	// the abort cause until read through Err.
 	interrupt func() error
@@ -143,13 +165,16 @@ type Config struct {
 	Interrupt func() error
 }
 
-// New returns a walker positioned at start.
+// New returns a walker positioned at start. The walker binds body into
+// its own per-walker form (see the package doc); body itself is only
+// read.
 func New(body Body, start linalg.Vector, r *rng.RNG, cfg Config) (*Walker, error) {
 	cur := start.Clone()
 	if cfg.Kind == GridWalk {
 		cur = cfg.Grid.Snap(cur)
 	}
-	if !body.Contains(cur) {
+	own := bind(body)
+	if !own.Contains(cur) {
 		// A snapped start can fall out of thin bodies; walk back toward
 		// the original point is not possible without membership, so fail
 		// loudly — callers pick a finer grid.
@@ -158,18 +183,24 @@ func New(body Body, start linalg.Vector, r *rng.RNG, cfg Config) (*Walker, error
 	if cfg.Kind == BallWalk && cfg.Delta <= 0 {
 		return nil, errors.New("walk: BallWalk requires a positive Delta")
 	}
-	if cfg.Kind == HitAndRun && !ChordSupport(body) && cfg.OuterRadius <= 0 {
+	exact := ChordSupport(body)
+	if cfg.Kind == HitAndRun && !exact && cfg.OuterRadius <= 0 {
 		return nil, errors.New("walk: HitAndRun on a membership-only body requires OuterRadius")
 	}
+	d := body.Dim()
 	return &Walker{
 		kind:        cfg.Kind,
-		body:        body,
+		own:         own,
+		exact:       exact,
+		dim:         d,
 		grid:        cfg.Grid,
 		delta:       cfg.Delta,
 		outerRadius: cfg.OuterRadius,
 		cur:         cur,
+		next:        make(linalg.Vector, len(cur)),
 		r:           r,
-		dirBuf:      make(linalg.Vector, body.Dim()),
+		dirBuf:      make(linalg.Vector, d),
+		probe:       make(linalg.Vector, len(cur)),
 		interrupt:   cfg.Interrupt,
 	}, nil
 }
@@ -182,7 +213,8 @@ const interruptStride = 32
 // Err returns the interrupt error that aborted the last Run, if any.
 func (w *Walker) Err() error { return w.err }
 
-// Current returns the walker's position (aliased; clone to keep).
+// Current returns the walker's position buffer (aliased: the walker
+// reuses it after its next accepted step; clone to keep).
 func (w *Walker) Current() linalg.Vector { return w.cur }
 
 // AcceptanceRate returns accepted proposals / steps (1.0 for hit-and-run).
@@ -193,7 +225,9 @@ func (w *Walker) AcceptanceRate() float64 {
 	return float64(w.accepted) / float64(w.steps)
 }
 
-// Step advances the walk by one step.
+// Step advances the walk by one step. Every walk kind proposes into the
+// walker's next buffer and swaps it with cur on acceptance, so a step
+// allocates nothing.
 func (w *Walker) Step() {
 	w.steps++
 	switch w.kind {
@@ -203,26 +237,25 @@ func (w *Walker) Step() {
 		if w.r.Bool() {
 			return
 		}
-		d := w.body.Dim()
-		j := w.r.Intn(d)
+		j := w.r.Intn(w.dim)
 		sign := 1
 		if w.r.Bool() {
 			sign = -1
 		}
-		cand := w.grid.Neighbor(w.cur, j, sign)
+		// The axis neighbour of Grid.Neighbor, built in place.
+		copy(w.next, w.cur)
+		w.next[j] += float64(sign) * w.grid.Step
 		w.oracle++
-		if w.body.Contains(cand) {
-			w.cur = cand
-			w.accepted++
+		if w.own.Contains(w.next) {
+			w.accept()
 		}
 	case BallWalk:
-		cand := w.cur.Clone()
+		copy(w.next, w.cur)
 		w.r.InBall(w.dirBuf)
-		cand.AddScaled(w.delta, w.dirBuf)
+		w.next.AddScaled(w.delta, w.dirBuf)
 		w.oracle++
-		if w.body.Contains(cand) {
-			w.cur = cand
-			w.accepted++
+		if w.own.Contains(w.next) {
+			w.accept()
 		}
 	case HitAndRun:
 		w.r.OnSphere(w.dirBuf)
@@ -232,22 +265,27 @@ func (w *Walker) Step() {
 			return
 		}
 		t := w.r.Uniform(tmin, tmax)
-		next := w.cur.Clone()
-		next.AddScaled(t, w.dirBuf)
+		copy(w.next, w.cur)
+		w.next.AddScaled(t, w.dirBuf)
 		// Guard against numerically escaping the body at chord endpoints.
 		w.oracle++
-		if w.body.Contains(next) {
-			w.cur = next
-			w.accepted++
+		if w.own.Contains(w.next) {
+			w.accept()
 		}
 	}
 }
 
-// Run advances n steps and returns the (aliased) final position. When
-// the walker has an Interrupt hook, it is polled every interruptStride
-// steps; a non-nil return aborts the run and is reported through Err.
-// The hook check is hoisted out of the loop so uncancellable walkers
-// pay nothing per step.
+// accept makes the proposal in next the current position.
+func (w *Walker) accept() {
+	w.cur, w.next = w.next, w.cur
+	w.accepted++
+}
+
+// Run advances n steps and returns the final position (aliased, as for
+// Current). When the walker has an Interrupt hook, it is polled every
+// interruptStride steps; a non-nil return aborts the run and is
+// reported through Err. The hook check is hoisted out of the loop so
+// uncancellable walkers pay nothing per step.
 func (w *Walker) Run(n int) linalg.Vector {
 	if w.interrupt == nil {
 		//cdbcheck:ignore interruptpoll -- nil-hook fast path: the poll is hoisted into the branch guard above
@@ -278,40 +316,42 @@ func (w *Walker) Sample(n int) linalg.Vector {
 // chord returns the line-body intersection parameters, exact for
 // chord-supporting bodies and by bisection otherwise.
 func (w *Walker) chord(x, dir linalg.Vector) (float64, float64, bool) {
-	if ChordSupport(w.body) {
-		return w.body.(ChordBody).Chord(x, dir)
+	if w.exact {
+		return w.own.Chord(x, dir)
 	}
 	// Bisection within [-2R, 2R]: the body lies in a ball of radius R
 	// around some centre at distance <= R from x, so 2R bounds any chord.
 	span := 2 * w.outerRadius
-	lo := bisectBoundary(w.body, x, dir, -span)
-	hi := bisectBoundary(w.body, x, dir, span)
+	lo := w.bisectBoundary(x, dir, -span)
+	hi := w.bisectBoundary(x, dir, span)
 	return lo, hi, hi > lo
 }
 
 // bisectBoundary finds the boundary crossing between t=0 (inside) and
-// t=far (assumed outside or at the limit) to 1e-9 relative precision.
-func bisectBoundary(b Body, x, dir linalg.Vector, far float64) float64 {
+// t=far (assumed outside or at the limit) to 1e-9 relative precision,
+// probing membership at x + t·dir in the walker's probe buffer.
+func (w *Walker) bisectBoundary(x, dir linalg.Vector, far float64) float64 {
 	inside := 0.0
 	outside := far
-	probe := x.Clone()
-	at := func(t float64) bool {
-		copy(probe, x)
-		probe.AddScaled(t, dir)
-		return b.Contains(probe)
-	}
-	if at(far) {
+	if w.probeAt(x, dir, far) {
 		return far // body extends past the sweep: clamp
 	}
 	for i := 0; i < 60; i++ {
 		mid := (inside + outside) / 2
-		if at(mid) {
+		if w.probeAt(x, dir, mid) {
 			inside = mid
 		} else {
 			outside = mid
 		}
 	}
 	return inside
+}
+
+// probeAt reports membership of x + t·dir.
+func (w *Walker) probeAt(x, dir linalg.Vector, t float64) bool {
+	copy(w.probe, x)
+	w.probe.AddScaled(t, dir)
+	return w.own.Contains(w.probe)
 }
 
 // DefaultGridSteps returns the engineering default step budget for the
@@ -348,6 +388,40 @@ func DefaultHitAndRunSteps(d int, ratio float64) int {
 	return steps
 }
 
+// boundBody is a walker's private binding of a shared Body: the body's
+// own membership and chord arithmetic, run over scratch buffers that
+// belong to the binding alone. Chord is only consulted when the bound
+// body has exact chord support (ChordSupport).
+type boundBody interface {
+	Contains(x linalg.Vector) bool
+	Chord(x, dir linalg.Vector) (tmin, tmax float64, ok bool)
+}
+
+// bind returns b's per-walker form. The wrappers that need scratch —
+// MappedBody, IntersectionBody (through its members) and BallBody — get
+// buffers of their own; any other chord body is used as it is (an
+// H-polytope's oracles allocate nothing), and a membership-only body
+// reports no chords.
+func bind(b Body) boundBody {
+	switch b := b.(type) {
+	case MappedBody:
+		return b.bind()
+	case IntersectionBody:
+		return b.bind()
+	case BallBody:
+		return b.bind()
+	case ChordBody:
+		return b
+	default:
+		return membershipOnly{b}
+	}
+}
+
+// membershipOnly binds a body without chords.
+type membershipOnly struct{ Body }
+
+func (membershipOnly) Chord(x, dir linalg.Vector) (float64, float64, bool) { return 0, 0, false }
+
 // BallBody is a Euclidean ball membership oracle (a convenience Body
 // used by tests and the telescoping volume estimator).
 type BallBody struct {
@@ -365,11 +439,27 @@ func (b BallBody) Contains(x linalg.Vector) bool {
 
 // Chord intersects a line with the ball exactly.
 func (b BallBody) Chord(x, dir linalg.Vector) (float64, float64, bool) {
+	return b.bind().Chord(x, dir)
+}
+
+func (b BallBody) bind() *boundBall {
+	return &boundBall{BallBody: b, diff: make(linalg.Vector, len(b.Center))}
+}
+
+// boundBall is a BallBody with its own x − centre buffer.
+type boundBall struct {
+	BallBody
+	diff linalg.Vector
+}
+
+func (o *boundBall) Chord(x, dir linalg.Vector) (float64, float64, bool) {
 	// |x + t·dir - c|² = R²; dir is unit for walk use, but handle any norm.
-	diff := x.Sub(b.Center)
+	for i, c := range o.Center {
+		o.diff[i] = x[i] - c
+	}
 	a := dir.Dot(dir)
-	bb := 2 * diff.Dot(dir)
-	c := diff.Dot(diff) - b.Radius*b.Radius
+	bb := 2 * o.diff.Dot(dir)
+	c := o.diff.Dot(o.diff) - o.Radius*o.Radius
 	disc := bb*bb - 4*a*c
 	if disc < 0 || a == 0 {
 		return 0, 0, false
@@ -394,12 +484,7 @@ func (ib IntersectionBody) Dim() int {
 
 // Contains reports membership in every body.
 func (ib IntersectionBody) Contains(x linalg.Vector) bool {
-	for _, b := range ib.Bodies {
-		if !b.Contains(x) {
-			return false
-		}
-	}
-	return true
+	return ib.bind().Contains(x)
 }
 
 // ChordSupported reports whether every member can produce exact chords.
@@ -414,13 +499,33 @@ func (ib IntersectionBody) ChordSupported() bool {
 
 // Chord intersects chords when every member supports them.
 func (ib IntersectionBody) Chord(x, dir linalg.Vector) (float64, float64, bool) {
-	tmin, tmax := math.Inf(-1), math.Inf(1)
-	for _, b := range ib.Bodies {
-		cb, ok := b.(ChordBody)
-		if !ok {
-			return 0, 0, false
+	return ib.bind().Chord(x, dir)
+}
+
+func (ib IntersectionBody) bind() boundIntersection {
+	members := make(boundIntersection, len(ib.Bodies))
+	for i, b := range ib.Bodies {
+		members[i] = bind(b)
+	}
+	return members
+}
+
+// boundIntersection is an IntersectionBody over bound members.
+type boundIntersection []boundBody
+
+func (bi boundIntersection) Contains(x linalg.Vector) bool {
+	for _, b := range bi {
+		if !b.Contains(x) {
+			return false
 		}
-		lo, hi, ok := cb.Chord(x, dir)
+	}
+	return true
+}
+
+func (bi boundIntersection) Chord(x, dir linalg.Vector) (float64, float64, bool) {
+	tmin, tmax := math.Inf(-1), math.Inf(1)
+	for _, b := range bi {
+		lo, hi, ok := b.Chord(x, dir)
 		if !ok {
 			return 0, 0, false
 		}
@@ -446,7 +551,7 @@ func (m MappedBody) Dim() int { return m.Orig.Dim() }
 
 // Contains reports membership of the pre-image.
 func (m MappedBody) Contains(y linalg.Vector) bool {
-	return m.Orig.Contains(m.Map.Invert(y))
+	return m.bind().Contains(y)
 }
 
 // ChordSupported reports whether the wrapped body supports chords.
@@ -455,12 +560,35 @@ func (m MappedBody) ChordSupported() bool { return ChordSupport(m.Orig) }
 // Chord maps the line into the original space: x + t·dir pre-images to
 // M⁻¹(x - T) + t·(M⁻¹ dir), so the t interval is unchanged.
 func (m MappedBody) Chord(x, dir linalg.Vector) (float64, float64, bool) {
-	cb, ok := m.Orig.(ChordBody)
-	if !ok {
-		return 0, 0, false
+	return m.bind().Chord(x, dir)
+}
+
+func (m MappedBody) bind() *boundMapped {
+	d := m.Orig.Dim()
+	buf := make(linalg.Vector, 3*d)
+	return &boundMapped{orig: bind(m.Orig), m: m.Map, x0: buf[:d:d], d0: buf[d : 2*d : 2*d], shifted: buf[2*d:]}
+}
+
+// boundMapped is a MappedBody over a bound original, with its own
+// pre-image buffers.
+type boundMapped struct {
+	orig boundBody
+	m    *linalg.AffineMap
+	// x0 and d0 receive the pre-images of a point and a direction;
+	// shifted holds dir + T, which the direction's pre-image takes back
+	// through the map's translation: M⁻¹((dir + T) − T), bit for bit the
+	// arithmetic of AffineMap.Invert on the shifted direction.
+	x0, d0, shifted linalg.Vector
+}
+
+func (o *boundMapped) Contains(y linalg.Vector) bool {
+	return o.orig.Contains(o.m.InvertInto(o.x0, y))
+}
+
+func (o *boundMapped) Chord(x, dir linalg.Vector) (float64, float64, bool) {
+	x0 := o.m.InvertInto(o.x0, x)
+	for i, v := range dir {
+		o.shifted[i] = v + o.m.T[i]
 	}
-	x0 := m.Map.Invert(x)
-	// Direction transforms without the translation.
-	d0 := m.Map.Invert(dir.Add(m.Map.T))
-	return cb.Chord(x0, d0)
+	return o.orig.Chord(x0, o.m.InvertInto(o.d0, o.shifted))
 }

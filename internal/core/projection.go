@@ -41,7 +41,9 @@ type Projection struct {
 	// phase then sets cRef to half the smallest observed cylinder —
 	// uniformity is exact on every cell with ĥ ≥ cRef and only cells
 	// thinner than half the observed minimum are (slightly) under-
-	// weighted. See DESIGN.md on this engineering deviation.
+	// weighted. The paper's analysis covers one eliminated coordinate
+	// only; for k ≥ 2 this slight bias on the thinnest cells is the
+	// price of an acceptance rate that does not vanish like p^k.
 	cRef float64
 
 	rounds, accepts int
@@ -154,10 +156,12 @@ func (pr *Projection) project(x linalg.Vector) linalg.Vector {
 }
 
 // cylinderCells estimates ĥ(y): the number of grid cells in the cylinder
-// H_S(y), i.e. vol(S ∩ {x_I = y}) / p^{d-e}. Slices of dimension at most
-// polytope.MaxExactDim are measured exactly (Lasserre); higher ones fall
-// back to a nested DFK estimate, exactly as the paper composes its
-// estimators.
+// H_S(y), i.e. vol(S ∩ {x_I = y}) / p^{d-e}. A cylinder over one
+// eliminated coordinate — the case Algorithm 2's acceptance analysis
+// covers — is a segment, measured exactly as S's chord along that axis
+// (chordCells). Wider slices of dimension at most polytope.MaxExactDim
+// are measured exactly (Lasserre); higher ones fall back to a nested DFK
+// estimate, exactly as the paper composes its estimators.
 func (pr *Projection) cylinderCells(y linalg.Vector) (float64, error) {
 	key := pr.grid.Key(y)
 	if h, ok := pr.hCache[key]; ok {
@@ -172,11 +176,14 @@ func (pr *Projection) cylinderCells(y linalg.Vector) (float64, error) {
 }
 
 func (pr *Projection) cylinderCellsUncached(y linalg.Vector) (float64, error) {
+	k := len(pr.drop)
+	if k == 1 {
+		return pr.chordCells(y)
+	}
 	slice := pr.poly.Slice(pr.keep, y)
 	if slice.IsEmpty() {
 		return 0, nil
 	}
-	k := len(pr.drop)
 	var h float64
 	if k <= polytope.MaxExactDim {
 		v, err := slice.Volume()
@@ -197,6 +204,30 @@ func (pr *Projection) cylinderCellsUncached(y linalg.Vector) (float64, error) {
 		h = v
 	}
 	return h / math.Pow(pr.grid.Step, float64(k)), nil
+}
+
+// chordCells measures a one-coordinate cylinder: the line through y
+// along the eliminated axis meets S in the segment H_S(y), whose length
+// is S's chord there. One pass over the rows gives the exact value that
+// a slice would reach through an LP emptiness test, redundancy-removal
+// LPs and a one-dimensional Lasserre recursion; a line that misses S
+// (y outside T) has an empty chord and ĥ = 0.
+func (pr *Projection) chordCells(y linalg.Vector) (float64, error) {
+	d := pr.poly.Dim()
+	x := make(linalg.Vector, d)
+	for i, j := range pr.keep {
+		x[j] = y[i]
+	}
+	dir := make(linalg.Vector, d)
+	dir[pr.drop[0]] = 1
+	tmin, tmax, ok := pr.poly.Chord(x, dir)
+	if !ok {
+		return 0, nil
+	}
+	if math.IsInf(tmin, -1) || math.IsInf(tmax, 1) {
+		return 0, polytope.ErrUnbounded
+	}
+	return (tmax - tmin) / pr.grid.Step, nil
 }
 
 // Sample implements Algorithm 2: draw x from S, project and snap y to

@@ -206,3 +206,63 @@ func TestProjectionAcceptanceReported(t *testing.T) {
 		t.Errorf("acceptance rate = %g", r)
 	}
 }
+
+// TestProjectionChordCylinders: a cylinder over one eliminated
+// coordinate, measured as the polytope's chord along that axis, equals
+// the slice measure it replaces (Slice, LP emptiness, Lasserre) to 10⁻⁹
+// relative at random y inside T, and is 0 at every y outside T.
+func TestProjectionChordCylinders(t *testing.T) {
+	poly := goldenPolytope()
+	lo, hi, err := poly.BoundingBox()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := rng.New(9)
+	for drop := 0; drop < poly.Dim(); drop++ {
+		var keep []int
+		for j := 0; j < poly.Dim(); j++ {
+			if j != drop {
+				keep = append(keep, j)
+			}
+		}
+		pr, err := NewProjection(poly, keep, rng.New(10), fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sliceCells := func(y linalg.Vector) float64 {
+			slice := poly.Slice(keep, y)
+			if slice.IsEmpty() {
+				return 0
+			}
+			v, err := slice.Volume()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v / pr.grid.Step
+		}
+		inside, outside := 0, 0
+		for inside < 200 || outside < 200 {
+			x := make(linalg.Vector, poly.Dim())
+			for j := range x {
+				x[j] = rr.Uniform(lo[j]-1, hi[j]+1)
+			}
+			y := pr.project(x)
+			got, err := pr.cylinderCellsUncached(y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case poly.ContainsStrict(x, 1e-3):
+				inside++
+				if want := sliceCells(y); math.Abs(got-want) > 1e-9*want {
+					t.Fatalf("drop %d, y=%v: chord cylinder %.17g cells, slice %.17g", drop, y, got, want)
+				}
+			case poly.Slice(keep, y).IsEmpty():
+				outside++
+				if got != 0 {
+					t.Fatalf("drop %d, y=%v outside T: cylinder %g cells, want 0", drop, y, got)
+				}
+			}
+		}
+	}
+}

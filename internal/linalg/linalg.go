@@ -436,6 +436,21 @@ func (a *AffineMap) InvertInto(dst, y Vector) Vector {
 	return dst
 }
 
+// InvertLinearInto writes M^{-1} v into dst and returns dst: the
+// pre-image of a direction, which the translation does not touch. dst
+// must have v's length and must not overlap v.
+func (a *AffineMap) InvertLinearInto(dst, v Vector) Vector {
+	n := a.inv.Cols
+	if len(v) != n || len(dst) != a.inv.Rows {
+		panic("linalg: InvertLinearInto dimension mismatch")
+	}
+	v = v[:n]
+	for i := range dst {
+		dst[i] = Vector(a.inv.Data[i*n : (i+1)*n]).Dot(v)
+	}
+	return dst
+}
+
 // DetAbs returns |det M|, the volume scaling factor of the map.
 func (a *AffineMap) DetAbs() float64 { return a.detAbs }
 

@@ -184,15 +184,9 @@ func (p *Polytope) Image(m *linalg.AffineMap) *Polytope {
 	a := make([]linalg.Vector, len(p.A))
 	b := append([]float64{}, p.B...)
 	for i, row := range p.A {
-		// row · M^{-1}(y - t) <= b_i.
-		newRow := make(linalg.Vector, len(row))
-		// newRow = (M^{-1})^T row; compute via solving is overkill — the
-		// AffineMap caches the inverse, exposed through Invert on basis
-		// vectors would be wasteful; instead apply row to columns of
-		// M^{-1} by transpose-multiplication.
-		newRow = m.InvTMulVec(row)
-		a[i] = newRow
-		b[i] += newRow.Dot(m.T)
+		// row · M^{-1}(y - t) <= b_i, with row · M^{-1} = (M^{-1})^T row.
+		a[i] = m.InvTMulVec(row)
+		b[i] += a[i].Dot(m.T)
 	}
 	return New(a, b)
 }
@@ -245,21 +239,8 @@ func (p *Polytope) Slice(fixed []int, vals []float64) *Polytope {
 func (p *Polytope) Chord(x, dir linalg.Vector) (tmin, tmax float64, ok bool) {
 	tmin, tmax = math.Inf(-1), math.Inf(1)
 	for i, row := range p.A {
-		au := row.Dot(dir)
-		slack := p.B[i] - row.Dot(x)
-		switch {
-		case au > num.Eps:
-			if t := slack / au; t < tmax {
-				tmax = t
-			}
-		case au < -num.Eps:
-			if t := slack / au; t > tmin {
-				tmin = t
-			}
-		default:
-			if slack < -num.Eps {
-				return 0, 0, false
-			}
+		if tmin, tmax, ok = ClipChord(tmin, tmax, p.B[i]-row.Dot(x), row.Dot(dir)); !ok {
+			return 0, 0, false
 		}
 	}
 	if tmax < tmin {
@@ -267,6 +248,30 @@ func (p *Polytope) Chord(x, dir linalg.Vector) (tmin, tmax float64, ok bool) {
 	}
 	return tmin, tmax, true
 }
+
+// ClipChord narrows the chord [tmin, tmax] of a line x + t·dir by one
+// constraint a·x <= b, given its slack b − a·x at the base point and its
+// rate a·dir along the line. ok is false when the line runs parallel to
+// the constraint outside its halfspace; the bounds are then meaningless.
+// Chord is ClipChord over every row; a walker that carries a·x along its
+// chords clips from its stored slack instead.
+func ClipChord(tmin, tmax, slack, rate float64) (lo, hi float64, ok bool) {
+	// The sign of a random direction's rate is a coin flip, so the bound
+	// it moves is picked by integer selects rather than by branches.
+	t := math.Float64bits(slack / rate)
+	var hiBits, loBits uint64 = posInfBits, negInfBits
+	if rate > num.Eps {
+		hiBits = t
+	}
+	if rate < -num.Eps {
+		loBits = t
+	}
+	ok = slack >= -num.Eps || math.Abs(rate) > num.Eps
+	return max(tmin, math.Float64frombits(loBits)), min(tmax, math.Float64frombits(hiBits)), ok
+}
+
+// posInfBits and negInfBits are the IEEE 754 bits of +Inf and −Inf.
+const posInfBits, negInfBits = 0x7ff0000000000000, 0xfff0000000000000
 
 // RemoveRedundant drops constraints implied by the others (one LP per
 // constraint).

@@ -8,6 +8,12 @@
 // membership-only bodies it applies the caller-supplied inner/outer
 // witnesses. The resulting sandwiching ratio is reported so samplers can
 // budget their walks.
+//
+// An H-polytope comes back folded: its rounded body is the polytope
+// Image(Q), with rows A·M⁻¹ and bounds b + A·M⁻¹·T built once per
+// rounding pass, so the walks, the sandwich probes and the volume phases
+// run on a plain polytope and never take a pre-image. Any other body comes
+// back as a walk.MappedBody, which pre-images every query through Q⁻¹.
 package rounding
 
 import (
@@ -15,6 +21,7 @@ import (
 	"math"
 
 	"repro/internal/linalg"
+	"repro/internal/polytope"
 	"repro/internal/rng"
 	"repro/internal/walk"
 )
@@ -25,7 +32,9 @@ var ErrNotWellBounded = errors.New("rounding: body is not well-bounded (no inner
 
 // Rounded describes a body in well-rounded position.
 type Rounded struct {
-	// Body is the rounded body: Map applied to the original.
+	// Body is the rounded body: Map applied to the original. It is a
+	// *polytope.Polytope (the folded image) when the original is one, and
+	// a walk.MappedBody otherwise.
 	Body walk.Body
 	// Map sends original-space points to rounded-space points.
 	Map *linalg.AffineMap
@@ -71,7 +80,7 @@ func Round(body walk.Body, innerCenter linalg.Vector, innerR, outerR float64, r 
 		return nil, err
 	}
 	cur := &Rounded{
-		Body:        walk.MappedBody{Orig: body, Map: am},
+		Body:        image(body, am),
 		Map:         am,
 		InnerRadius: 1,
 		OuterRadius: outerR / innerR,
@@ -154,8 +163,7 @@ func isotropyStep(orig walk.Body, cur *Rounded, samples, walkSteps int, r *rng.R
 	if err != nil {
 		return nil, err
 	}
-	body := walk.MappedBody{Orig: orig, Map: composed}
-	inner, outer, err := sandwich(body, r)
+	inner, outer, err := sandwich(image(orig, composed), r)
 	if err != nil {
 		return nil, err
 	}
@@ -173,11 +181,20 @@ func isotropyStep(orig walk.Body, cur *Rounded, samples, walkSteps int, r *rng.R
 		return nil, err
 	}
 	return &Rounded{
-		Body:        walk.MappedBody{Orig: orig, Map: finalMap},
+		Body:        image(orig, finalMap),
 		Map:         finalMap,
 		InnerRadius: 1,
 		OuterRadius: outer / inner,
 	}, nil
+}
+
+// image returns body in the rounded space of m: an H-polytope folded
+// into its constraints, any other body wrapped as a MappedBody.
+func image(body walk.Body, m *linalg.AffineMap) walk.Body {
+	if p, ok := body.(*polytope.Polytope); ok {
+		return p.Image(m)
+	}
+	return walk.MappedBody{Orig: body, Map: m}
 }
 
 // sandwich probes the body along random directions through the origin to

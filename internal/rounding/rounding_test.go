@@ -122,6 +122,67 @@ func TestRoundedMembershipConsistent(t *testing.T) {
 			t.Fatalf("membership mismatch at %v", x)
 		}
 	}
+
+	// H-polytopes come back folded: the rounded body is a plain polytope
+	// whose membership agrees with the original's. Random cut cubes at
+	// d = 2..6, stretched 8× along x0 so the isotropy passes run, and
+	// translated 10⁴ from the origin, agree at random points except
+	// within 10⁻⁹ of a facet.
+	for d := 2; d <= 6; d++ {
+		p := polytope.FromTuple(constraint.Cube(d, -1, 1))
+		for k := 0; k < d; k++ {
+			n := make(linalg.Vector, d)
+			rr.OnSphere(n)
+			p = p.WithHalfspace(n, 0.8)
+		}
+		stretch := linalg.Identity(d)
+		stretch.Set(0, 0, 8)
+		far := make(linalg.Vector, d)
+		rr.OnSphere(far)
+		far = far.Scale(1e4)
+		place, err := linalg.NewAffineMap(stretch, far)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = p.Image(place)
+		c, r, err := p.Chebyshev()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bc, outer, err := p.EnclosingBall()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ro, err := Round(p, c, r, c.Dist(bc)+outer, rng.New(uint64(10+d)), Options{Iterations: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := ro.Body.(*polytope.Polytope); !ok {
+			t.Fatalf("d=%d: rounded body is %T, want a folded *polytope.Polytope", d, ro.Body)
+		}
+		if ro.Ratio() > 8 {
+			t.Errorf("d=%d: sandwich ratio %.2f after isotropy rounding", d, ro.Ratio())
+		}
+		x := make(linalg.Vector, d)
+		for i := 0; i < 2000; i++ {
+			for j := range x {
+				x[j] = far[j] + rr.Uniform(-1.2, 1.2)*stretch.At(j, j)
+			}
+			if p.Contains(x) != ro.Body.Contains(ro.Map.Apply(x)) && !nearFacet(p, x, 1e-9) {
+				t.Fatalf("d=%d: membership mismatch at %v", d, x)
+			}
+		}
+	}
+}
+
+// nearFacet reports whether x lies within tol of one of p's hyperplanes.
+func nearFacet(p *polytope.Polytope, x linalg.Vector, tol float64) bool {
+	for i, row := range p.A {
+		if math.Abs(row.Dot(x)-p.B[i]) <= tol*row.Norm() {
+			return true
+		}
+	}
+	return false
 }
 
 func TestRoundMembershipOnlyBody(t *testing.T) {
@@ -130,6 +191,9 @@ func TestRoundMembershipOnlyBody(t *testing.T) {
 	ro, err := Round(ell, linalg.Vector{5, 5}, 2, 2, rng.New(7), Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := ro.Body.(walk.MappedBody); !ok {
+		t.Errorf("rounded membership-only body is %T, want walk.MappedBody", ro.Body)
 	}
 	if !ro.Body.Contains(linalg.Vector{0.9, 0}) {
 		t.Error("rounded oracle body must contain the unit ball")

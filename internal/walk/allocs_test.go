@@ -9,8 +9,9 @@ import (
 )
 
 // TestStepAllocs guards the allocation-free step: every walk kind over
-// an H-polytope, a ball, their intersection, an affine image and a
-// membership-only body (bisection chords) allocates nothing per Step.
+// an H-polytope, a ball, their intersection, an affine image, a
+// membership-only body (bisection chords), a folded thin slab and a
+// folded polytope ∩ ball (tracked row values) allocates nothing per Step.
 func TestStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -24,6 +25,7 @@ func TestStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fold := foldMap(t)
 	bodies := []struct {
 		name string
 		body Body
@@ -34,6 +36,8 @@ func TestStepAllocs(t *testing.T) {
 		{"mapped", MappedBody{Orig: cube, Map: am}},
 		{"membership-only", oracleBody{ball}},
 		{"mapped-membership-only", MappedBody{Orig: oracleBody{ball}, Map: am}},
+		{"folded-slab", foldedSlab(fold)},
+		{"folded-cut∩ball", IntersectionBody{Bodies: []Body{foldedCut(fold), ball}}},
 	}
 	for _, b := range bodies {
 		for _, kind := range []Kind{GridWalk, BallWalk, HitAndRun} {

@@ -17,6 +17,15 @@
 // allocates nothing and no two walkers write the same memory. A Walker
 // itself is not safe for concurrent use.
 //
+// The bound form of an H-polytope (alone, or intersected with other
+// bodies such as the volume phases' balls) also owns the polytope's row
+// values A·x at the walker's position. A hit-and-run step over it is one
+// m×d pass: it computes A·dir once, takes the chord from the stored
+// slack b − A·x, checks the proposal as A·x + t·A·dir <= b + Eps in O(m)
+// and commits that same update on acceptance. Every Run starts by
+// recomputing A·x from the position, so rounding drift cannot build up.
+// Grid and ball walks test their proposals with Contains.
+//
 // Current and Run return the walker's position buffer, not a copy. It
 // holds the position until the next accepted step; after that the walker
 // reuses it for its proposals, so callers must clone it to keep it
@@ -30,6 +39,8 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/linalg"
+	"repro/internal/num"
+	"repro/internal/polytope"
 	"repro/internal/rng"
 )
 
@@ -104,7 +115,7 @@ type Walker struct {
 	kind Kind
 	// own is the walker's private binding of the body (see bind); exact
 	// reports exact chord support, checked once in New.
-	own   boundBody
+	own   tracker
 	exact bool
 	dim   int
 	grid  geom.Grid // grid walk only
@@ -173,7 +184,13 @@ func New(body Body, start linalg.Vector, r *rng.RNG, cfg Config) (*Walker, error
 	if cfg.Kind == GridWalk {
 		cur = cfg.Grid.Snap(cur)
 	}
+	exact := ChordSupport(body)
 	own := bind(body)
+	if !exact {
+		// Bisection chords track nothing along the line: proposals are
+		// tested by membership alone.
+		own = stateless{own}
+	}
 	if !own.Contains(cur) {
 		// A snapped start can fall out of thin bodies; walk back toward
 		// the original point is not possible without membership, so fail
@@ -183,9 +200,11 @@ func New(body Body, start linalg.Vector, r *rng.RNG, cfg Config) (*Walker, error
 	if cfg.Kind == BallWalk && cfg.Delta <= 0 {
 		return nil, errors.New("walk: BallWalk requires a positive Delta")
 	}
-	exact := ChordSupport(body)
 	if cfg.Kind == HitAndRun && !exact && cfg.OuterRadius <= 0 {
 		return nil, errors.New("walk: HitAndRun on a membership-only body requires OuterRadius")
+	}
+	if cfg.Kind == HitAndRun {
+		own.sync(cur)
 	}
 	d := body.Dim()
 	return &Walker{
@@ -269,7 +288,8 @@ func (w *Walker) Step() {
 		w.next.AddScaled(t, w.dirBuf)
 		// Guard against numerically escaping the body at chord endpoints.
 		w.oracle++
-		if w.own.Contains(w.next) {
+		if w.own.at(t, w.next) {
+			w.own.move(t)
 			w.accept()
 		}
 	}
@@ -287,6 +307,9 @@ func (w *Walker) accept() {
 // reported through Err. The hook check is hoisted out of the loop so
 // uncancellable walkers pay nothing per step.
 func (w *Walker) Run(n int) linalg.Vector {
+	if w.kind == HitAndRun {
+		w.own.sync(w.cur)
+	}
 	if w.interrupt == nil {
 		//cdbcheck:ignore interruptpoll -- nil-hook fast path: the poll is hoisted into the branch guard above
 		for i := 0; i < n; i++ {
@@ -317,7 +340,7 @@ func (w *Walker) Sample(n int) linalg.Vector {
 // chord-supporting bodies and by bisection otherwise.
 func (w *Walker) chord(x, dir linalg.Vector) (float64, float64, bool) {
 	if w.exact {
-		return w.own.Chord(x, dir)
+		return w.own.line(x, dir)
 	}
 	// Bisection within [-2R, 2R]: the body lies in a ball of radius R
 	// around some centre at distance <= R from x, so 2R bounds any chord.
@@ -397,30 +420,105 @@ type boundBody interface {
 	Chord(x, dir linalg.Vector) (tmin, tmax float64, ok bool)
 }
 
+// tracker is a bound body seen from a hit-and-run walker, which moves
+// along chords through its own position: sync(x) takes the position,
+// line(x, dir) returns the chord through it along dir, at(t, y) tests the
+// proposal y = x + t·dir on that chord, and move(t) commits it. A bound
+// H-polytope carries its row values through these calls (boundRows);
+// every other body answers them with its stateless Chord and Contains.
+type tracker interface {
+	boundBody
+	sync(x linalg.Vector)
+	line(x, dir linalg.Vector) (tmin, tmax float64, ok bool)
+	at(t float64, y linalg.Vector) bool
+	move(t float64)
+}
+
 // bind returns b's per-walker form. The wrappers that need scratch —
 // MappedBody, IntersectionBody (through its members) and BallBody — get
-// buffers of their own; any other chord body is used as it is (an
-// H-polytope's oracles allocate nothing), and a membership-only body
-// reports no chords.
-func bind(b Body) boundBody {
+// buffers of their own, an H-polytope gets its row values, any other
+// chord body is used as it is, and a membership-only body reports no
+// chords.
+func bind(b Body) tracker {
 	switch b := b.(type) {
+	case *polytope.Polytope:
+		m := b.Rows()
+		buf := make([]float64, 2*m)
+		return &boundRows{Polytope: b, ax: buf[:m:m], adir: buf[m:]}
 	case MappedBody:
-		return b.bind()
+		return stateless{b.bind()}
 	case IntersectionBody:
 		return b.bind()
 	case BallBody:
-		return b.bind()
+		return stateless{b.bind()}
 	case ChordBody:
-		return b
+		return stateless{b}
 	default:
-		return membershipOnly{b}
+		return stateless{membershipOnly{b}}
 	}
 }
+
+// stateless binds a body that carries nothing along a chord.
+type stateless struct{ boundBody }
+
+func (stateless) sync(linalg.Vector) {}
+
+func (s stateless) line(x, dir linalg.Vector) (float64, float64, bool) { return s.Chord(x, dir) }
+
+func (s stateless) at(_ float64, y linalg.Vector) bool { return s.Contains(y) }
+
+func (stateless) move(float64) {}
 
 // membershipOnly binds a body without chords.
 type membershipOnly struct{ Body }
 
 func (membershipOnly) Chord(x, dir linalg.Vector) (float64, float64, bool) { return 0, 0, false }
+
+// boundRows is an H-polytope {x : A x <= b} bound to one walker, with
+// each row's value A·x at the walker's position (ax) and along the
+// current chord's direction (adir).
+type boundRows struct {
+	*polytope.Polytope
+	ax, adir []float64
+}
+
+func (o *boundRows) sync(x linalg.Vector) {
+	for i, row := range o.A {
+		o.ax[i] = row.Dot(x)
+	}
+}
+
+// line clips the chord by every row from its stored slack, computing
+// and keeping A·dir on the way.
+func (o *boundRows) line(_, dir linalg.Vector) (tmin, tmax float64, ok bool) {
+	tmin, tmax = math.Inf(-1), math.Inf(1)
+	for i, row := range o.A {
+		au := row.Dot(dir)
+		o.adir[i] = au
+		if tmin, tmax, ok = polytope.ClipChord(tmin, tmax, o.B[i]-o.ax[i], au); !ok {
+			return 0, 0, false
+		}
+	}
+	if tmax < tmin {
+		return 0, 0, false
+	}
+	return tmin, tmax, true
+}
+
+func (o *boundRows) at(t float64, _ linalg.Vector) bool {
+	for i, v := range o.ax {
+		if v+t*o.adir[i] > o.B[i]+num.Eps {
+			return false
+		}
+	}
+	return true
+}
+
+func (o *boundRows) move(t float64) {
+	for i, v := range o.adir {
+		o.ax[i] += t * v
+	}
+}
 
 // BallBody is a Euclidean ball membership oracle (a convenience Body
 // used by tests and the telescoping volume estimator).
@@ -510,8 +608,9 @@ func (ib IntersectionBody) bind() boundIntersection {
 	return members
 }
 
-// boundIntersection is an IntersectionBody over bound members.
-type boundIntersection []boundBody
+// boundIntersection is an IntersectionBody over bound members; a
+// hit-and-run walker moves every member along its chords.
+type boundIntersection []tracker
 
 func (bi boundIntersection) Contains(x linalg.Vector) bool {
 	for _, b := range bi {
@@ -538,6 +637,42 @@ func (bi boundIntersection) Chord(x, dir linalg.Vector) (float64, float64, bool)
 	return tmin, tmax, true
 }
 
+func (bi boundIntersection) sync(x linalg.Vector) {
+	for _, b := range bi {
+		b.sync(x)
+	}
+}
+
+func (bi boundIntersection) line(x, dir linalg.Vector) (float64, float64, bool) {
+	tmin, tmax := math.Inf(-1), math.Inf(1)
+	for _, b := range bi {
+		lo, hi, ok := b.line(x, dir)
+		if !ok {
+			return 0, 0, false
+		}
+		tmin, tmax = max(tmin, lo), min(tmax, hi)
+	}
+	if tmax < tmin {
+		return 0, 0, false
+	}
+	return tmin, tmax, true
+}
+
+func (bi boundIntersection) at(t float64, y linalg.Vector) bool {
+	for _, b := range bi {
+		if !b.at(t, y) {
+			return false
+		}
+	}
+	return true
+}
+
+func (bi boundIntersection) move(t float64) {
+	for _, b := range bi {
+		b.move(t)
+	}
+}
+
 // MappedBody is the image of a Body under an invertible affine map:
 // y ∈ MappedBody iff map⁻¹(y) ∈ Orig. Chords transfer exactly because
 // affine maps preserve line parametrisation.
@@ -558,15 +693,17 @@ func (m MappedBody) Contains(y linalg.Vector) bool {
 func (m MappedBody) ChordSupported() bool { return ChordSupport(m.Orig) }
 
 // Chord maps the line into the original space: x + t·dir pre-images to
-// M⁻¹(x - T) + t·(M⁻¹ dir), so the t interval is unchanged.
+// M⁻¹(x - T) + t·(M⁻¹ dir), so the t interval is unchanged. The
+// direction goes through M⁻¹ alone, so its pre-image keeps full
+// precision however far the image sits from the origin.
 func (m MappedBody) Chord(x, dir linalg.Vector) (float64, float64, bool) {
 	return m.bind().Chord(x, dir)
 }
 
 func (m MappedBody) bind() *boundMapped {
 	d := m.Orig.Dim()
-	buf := make(linalg.Vector, 3*d)
-	return &boundMapped{orig: bind(m.Orig), m: m.Map, x0: buf[:d:d], d0: buf[d : 2*d : 2*d], shifted: buf[2*d:]}
+	buf := make(linalg.Vector, 2*d)
+	return &boundMapped{orig: bind(m.Orig), m: m.Map, x0: buf[:d:d], d0: buf[d:]}
 }
 
 // boundMapped is a MappedBody over a bound original, with its own
@@ -574,11 +711,8 @@ func (m MappedBody) bind() *boundMapped {
 type boundMapped struct {
 	orig boundBody
 	m    *linalg.AffineMap
-	// x0 and d0 receive the pre-images of a point and a direction;
-	// shifted holds dir + T, which the direction's pre-image takes back
-	// through the map's translation: M⁻¹((dir + T) − T), bit for bit the
-	// arithmetic of AffineMap.Invert on the shifted direction.
-	x0, d0, shifted linalg.Vector
+	// x0 and d0 receive the pre-images of a point and a direction.
+	x0, d0 linalg.Vector
 }
 
 func (o *boundMapped) Contains(y linalg.Vector) bool {
@@ -586,9 +720,5 @@ func (o *boundMapped) Contains(y linalg.Vector) bool {
 }
 
 func (o *boundMapped) Chord(x, dir linalg.Vector) (float64, float64, bool) {
-	x0 := o.m.InvertInto(o.x0, x)
-	for i, v := range dir {
-		o.shifted[i] = v + o.m.T[i]
-	}
-	return o.orig.Chord(x0, o.m.InvertInto(o.d0, o.shifted))
+	return o.orig.Chord(o.m.InvertInto(o.x0, x), o.m.InvertLinearInto(o.d0, dir))
 }

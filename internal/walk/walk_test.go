@@ -246,6 +246,24 @@ func TestMappedBody(t *testing.T) {
 	}
 }
 
+// TestMappedBodyChordFarFromOrigin: a direction carries no translation,
+// so a chord's parameters must not depend on where the image sits. The
+// 2×-scaled unit square translated by (10⁸, 10⁸) has the chord ±1.25
+// from its centre along (0.6, 0.8).
+func TestMappedBodyChordFarFromOrigin(t *testing.T) {
+	m := linalg.NewMatrix(2, 2)
+	copy(m.Data, []float64{2, 0, 0, 2})
+	am, err := linalg.NewAffineMap(m, linalg.Vector{1e8, 1e8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb := MappedBody{Orig: square(), Map: am}
+	lo, hi, ok := mb.Chord(linalg.Vector{1e8 + 1, 1e8 + 1}, linalg.Vector{0.6, 0.8})
+	if !ok || math.Abs(lo+1.25) > 1e-12 || math.Abs(hi-1.25) > 1e-12 {
+		t.Errorf("mapped chord at T = 1e8 = [%.12g, %.12g] ok=%v, want ±1.25", lo, hi, ok)
+	}
+}
+
 func TestPolytopeChord(t *testing.T) {
 	p := square()
 	lo, hi, ok := p.Chord(linalg.Vector{0.5, 0.5}, linalg.Vector{1, 0})
@@ -331,5 +349,101 @@ func TestWalkerStats(t *testing.T) {
 	// 128 steps poll at i = 0, 32, 64, 96.
 	if st2.InterruptPolls != 4 {
 		t.Fatalf("InterruptPolls = %d, want 4", st2.InterruptPolls)
+	}
+}
+
+// foldMap is a sheared, scaled affine map with a translation: folding an
+// H-polytope through it is what rounding does to every polytope it
+// rounds. It sends the origin to (0.1, −0.1, 0.2).
+func foldMap(t testing.TB) *linalg.AffineMap {
+	t.Helper()
+	m := linalg.NewMatrix(3, 3)
+	copy(m.Data, []float64{1.5, 0.4, 0, -0.3, 0.8, 0.2, 0.1, 0, 2})
+	am, err := linalg.NewAffineMap(m, linalg.Vector{0.1, -0.1, 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return am
+}
+
+// foldedSlab is a 3-D slab of width 10⁻² folded through am.
+func foldedSlab(am *linalg.AffineMap) *polytope.Polytope {
+	slab := polytope.FromTuple(constraint.Box(linalg.Vector{-1, -1, -0.005}, linalg.Vector{1, 1, 0.005}))
+	return slab.Image(am)
+}
+
+// foldedCut is the cube [−1, 1]³ cut by three random planes at distance
+// 0.8 from the origin, folded through am.
+func foldedCut(am *linalg.AffineMap) *polytope.Polytope {
+	p := polytope.FromTuple(constraint.Cube(3, -1, 1))
+	r := rng.New(14)
+	for k := 0; k < 3; k++ {
+		n := make(linalg.Vector, 3)
+		r.OnSphere(n)
+		p = p.WithHalfspace(n, 0.8)
+	}
+	return p.Image(am)
+}
+
+// trackedRows returns the bound polytope inside a walker's binding.
+func trackedRows(tr tracker) *boundRows {
+	switch o := tr.(type) {
+	case *boundRows:
+		return o
+	case boundIntersection:
+		for _, m := range o {
+			if rows := trackedRows(m); rows != nil {
+				return rows
+			}
+		}
+	}
+	return nil
+}
+
+// TestHitAndRunTracksRows: a million hit-and-run steps, with no Run to
+// resynchronise them, over a folded thin slab and over a folded polytope
+// ∩ ball. Every accepted position passes a fresh membership test, and
+// the row values the walker carries end within 10⁻⁹ of a recompute.
+func TestHitAndRunTracksRows(t *testing.T) {
+	am := foldMap(t)
+	slab, cut := foldedSlab(am), foldedCut(am)
+	ball := BallBody{Center: center(3), Radius: 1}
+	for _, b := range []struct {
+		name    string
+		body    Body
+		poly    *polytope.Polytope
+		outside func(x linalg.Vector) bool
+	}{
+		{"folded-slab", slab, slab, func(linalg.Vector) bool { return false }},
+		{"folded-cut∩ball", IntersectionBody{Bodies: []Body{cut, ball}}, cut,
+			func(x linalg.Vector) bool { return !ball.Contains(x) }},
+	} {
+		w, err := New(b.body, am.T, rng.New(15), Config{Kind: HitAndRun})
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		const steps = 1_000_000
+		for i := 0; i < steps; i++ {
+			accepted := w.accepted
+			w.Step()
+			if w.accepted == accepted {
+				continue
+			}
+			if x := w.Current(); !b.poly.Contains(x) || b.outside(x) {
+				t.Fatalf("%s: step %d accepted %v outside the body", b.name, i, x)
+			}
+		}
+		if w.AcceptanceRate() < 0.99 {
+			t.Errorf("%s: acceptance %.4f, want ~1", b.name, w.AcceptanceRate())
+		}
+		rows := trackedRows(w.own)
+		if rows == nil {
+			t.Fatalf("%s: walker does not track the polytope's rows", b.name)
+		}
+		for i, row := range b.poly.A {
+			if got, want := rows.ax[i], row.Dot(w.Current()); math.Abs(got-want) > 1e-9 {
+				t.Errorf("%s: row %d tracked %.17g, recomputed %.17g after %d steps", b.name, i, got, want, steps)
+			}
+		}
 	}
 }

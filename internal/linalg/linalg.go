@@ -444,7 +444,6 @@ func (a *AffineMap) InvertLinearInto(dst, v Vector) Vector {
 	if len(v) != n || len(dst) != a.inv.Rows {
 		panic("linalg: InvertLinearInto dimension mismatch")
 	}
-	v = v[:n]
 	for i := range dst {
 		dst[i] = Vector(a.inv.Data[i*n : (i+1)*n]).Dot(v)
 	}

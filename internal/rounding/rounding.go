@@ -10,10 +10,11 @@
 // budget their walks.
 //
 // An H-polytope comes back folded: its rounded body is the polytope
-// Image(Q), with rows A·M⁻¹ and bounds b + A·M⁻¹·T built once per
-// rounding pass, so the walks, the sandwich probes and the volume phases
-// run on a plain polytope and never take a pre-image. Any other body comes
-// back as a walk.MappedBody, which pre-images every query through Q⁻¹.
+// Image(Q), with rows A·M⁻¹ and bounds b + A·M⁻¹·T built once for each
+// map a rounding pass produces, so the walks, the sandwich probes and the
+// volume phases run on a plain polytope and never take a pre-image. Any
+// other body comes back as a walk.MappedBody, which pre-images every
+// query through Q⁻¹.
 package rounding
 
 import (

@@ -296,3 +296,130 @@ func (rec *surfaceRecord) volume(t *testing.T, name, surface string, v float64, 
 	}
 	rec.Volumes[surface] = v
 }
+
+// TestNamedQuerySurfacesAgree: /v1/query, DB.Query and DB.QueryVolume
+// run a named query through the same plan executor as /v1/sample,
+// /v1/volume, /v1/reconstruct and the Expr terminals, so one seed gives
+// the same points, volumes and hulls on each, and /v1/query routes on
+// the key that executor caches under. Nothing here joins the golden.
+func TestNamedQuerySurfacesAgree(t *testing.T) {
+	ctx := context.Background()
+	db, err := cdb.Open(surfaceProgram, cdb.WithWorkers(surfaceWorkers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s, ts := newTestServer(t, Config{DefaultWorkers: surfaceWorkers})
+	register(t, ts.URL, "main", surfaceProgram)
+
+	postQuery := func(req queryRequest) queryResponse {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/query", req)
+		var out queryResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil {
+			t.Fatalf("/v1/query %s %s = %d %s", req.Mode, req.Query, resp.StatusCode, body)
+		}
+		return out
+	}
+
+	for _, name := range []string{"C", "P"} {
+		want, err := db.Rel(name).SampleNSeeded(ctx, surfaceN, surfaceSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := postQuery(queryRequest{Database: "main", Query: name, Mode: "sample", N: surfaceN, Seed: surfaceSeed})
+		if !reflect.DeepEqual(out.Points, want) {
+			t.Errorf("%s: /v1/query sample %v, Expr.SampleNSeeded %v", name, out.Points, want)
+		}
+
+		qv, err := db.QueryVolume(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := db.Rel(name).Volume(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qv != ev {
+			t.Errorf("%s: DB.QueryVolume %v, Expr.Volume %v", name, qv, ev)
+		}
+
+		// Fresh handles start one seed sequence, so DB.Query and
+		// Expr.Samples bind the same seed.
+		h1, err := cdb.Open(surfaceProgram, cdb.WithWorkers(surfaceWorkers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs, err := h1.Query(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []cdb.Vector
+		for range surfaceN {
+			p, err := obs.Sample()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, p)
+		}
+		h1.Close()
+		h2, err := cdb.Open(surfaceProgram, cdb.WithWorkers(surfaceWorkers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stream []cdb.Vector
+		for p, err := range h2.Rel(name).Samples(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stream = append(stream, p); len(stream) == surfaceN {
+				break
+			}
+		}
+		h2.Close()
+		if !reflect.DeepEqual(got, stream) {
+			t.Errorf("%s: DB.Query %v, Expr.Samples %v", name, got, stream)
+		}
+
+		// One plan, one owner: /v1/query routes like /v1/sample, and
+		// symbolic mode like the symbolic cache.
+		key, err := db.Rel(name).CanonicalKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []*OptionsJSON{nil, {Walk: "ball", Eps: 0.3}} {
+			qbody, _ := json.Marshal(queryRequest{Database: "main", Query: name, Mode: "sample", Options: opts})
+			sbody, _ := json.Marshal(sampleRequest{Database: "main", Query: name, Options: opts})
+			if qk, sk := routeKeyQuery(s, nil, qbody), routeKeySample(s, nil, sbody); qk == "" || qk != sk {
+				t.Errorf("%s: routeKeyQuery %q, routeKeySample %q", name, qk, sk)
+			}
+			qbody, _ = json.Marshal(queryRequest{Database: "main", Query: name, Mode: "symbolic", Options: opts})
+			if qk, want := routeKeyQuery(s, nil, qbody), runtime.SymbolicKey("main", key); qk != want {
+				t.Errorf("%s: symbolic routeKeyQuery %q, want %q", name, qk, want)
+			}
+		}
+	}
+
+	// /v1/query volume and reconstruct honour the request seed exactly
+	// as /v1/volume and /v1/reconstruct do.
+	resp, body := postJSON(t, ts.URL+"/v1/volume", volumeRequest{Database: "main", Query: "C", Seed: surfaceSeed})
+	var vout volumeResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &vout) != nil {
+		t.Fatalf("/v1/volume = %d %s", resp.StatusCode, body)
+	}
+	out := postQuery(queryRequest{Database: "main", Query: "C", Mode: "volume", Seed: surfaceSeed})
+	if out.Volume == nil {
+		t.Fatal("C: /v1/query volume missing")
+	}
+	if *out.Volume != vout.Volume {
+		t.Errorf("C: /v1/query volume %v, /v1/volume %v", *out.Volume, vout.Volume)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/reconstruct", reconstructRequest{Database: "main", Query: "C", N: 40, Seed: surfaceSeed})
+	var rout reconstructResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &rout) != nil {
+		t.Fatalf("/v1/reconstruct = %d %s", resp.StatusCode, body)
+	}
+	if out := postQuery(queryRequest{Database: "main", Query: "C", Mode: "reconstruct", N: 40, Seed: surfaceSeed}); !reflect.DeepEqual(out.Hulls, rout.Hulls) {
+		t.Errorf("C: /v1/query reconstruct %v, /v1/reconstruct %v", out.Hulls, rout.Hulls)
+	}
+}

@@ -22,24 +22,21 @@
 //     (γ, ε, δ)-generator and an (ε, δ)-relative volume estimator (the
 //     Dyer–Frieze–Kannan walk composed through union, intersection,
 //     difference and projection — the paper's Theorems 4.1–4.3).
-//   - DB.Query / DB.Engine evaluate FO+LIN queries either symbolically
-//     (Fourier–Motzkin baseline) or by sampling, including shape
-//     reconstruction as unions of convex hulls (Algorithms 3–5).
+//   - DB.Rel returns a lazy algebra expression (Expr) over relations
+//     and named queries, evaluated by sampling through the same plan
+//     executor as the named methods, or symbolically (Fourier–Motzkin
+//     baseline), including shape reconstruction as unions of convex
+//     hulls (Algorithms 3–5).
 //   - DB.TimeSlice / DB.Alibi serve the moving-object workload (see
 //     motion.go).
 //
 // The package-level functions (NewSampler, EstimateVolume, SampleMany,
 // MedianVolume, ...) predate the handle and are deprecated in favour
-// of the DB methods — see the migration table in README.md. They now
-// route through a lazily created package-default runtime sharing one
-// warm prepared-sampler cache (see compat.go), so repeat calls on
-// structurally equal relations no longer pay the full setup; their
-// signatures and error behaviour are unchanged.
+// of the DB methods — see the migration table in README.md. They keep
+// no state between calls: each one pays the full sampler setup.
 package cdb
 
 import (
-	"context"
-
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -91,9 +88,6 @@ type Options = core.Options
 
 // Params are the approximation parameters (γ, ε, δ).
 type Params = core.Params
-
-// Engine evaluates queries symbolically or by sampling.
-type Engine = query.Engine
 
 // SetEstimate is a reconstruction: a union of convex hulls (Definition
 // 4.1 estimators built by Algorithms 3–5).
@@ -152,19 +146,11 @@ func FaithfulOptions() Options {
 // volume estimator — for a well-bounded generalized relation (a DFK
 // generator per tuple under the union combinator).
 //
-// Deprecated: NewSampler is not cancellable. Open a DB handle and use
+// Deprecated: NewSampler is not cancellable and pays the full
+// rounding/volume setup on every call. Open a DB handle and use
 // DB.Sampler(ctx, name) (cached, coalesced) or DB.Samples for a
-// streaming iterator. Kept for compatibility; calls now bind seed
-// against the package's shared warm cache (see compat.go), so repeat
-// calls on structurally equal relations skip the rounding/volume
-// setup. Preparation problems fall back to the original cold path,
-// preserving the historical error behaviour.
+// streaming iterator.
 func NewSampler(rel *Relation, seed uint64, opts Options) (Observable, error) {
-	if _, ps, _, ok := preparedRelation(rel, opts); ok {
-		if obs, err := ps.NewObservable(seed); err == nil {
-			return obs, nil
-		}
-	}
 	return core.NewRelationObservable(rel, rng.New(seed), opts)
 }
 
@@ -191,16 +177,10 @@ func PrepareSampler(rel *Relation, prepSeed uint64, opts Options) (*PreparedSamp
 
 // EstimateVolume is a convenience for NewSampler(...).Volume().
 //
-// Deprecated: use DB.Volume(ctx, name), which honours ctx. Kept for
-// compatibility; calls now share the package's warm cache and follow
-// the DB.Volume contract — single-tuple relations return the
-// preparation-time estimate with no walker bound at all, unions bind
-// seed for the Karp–Luby acceptance pass.
+// Deprecated: use DB.Volume(ctx, name), which honours ctx and reuses
+// the handle's warm preparation.
 func EstimateVolume(rel *Relation, seed uint64, opts Options) (float64, error) {
-	if _, ps, _, ok := preparedRelation(rel, opts); ok {
-		return ps.Volume(seed)
-	}
-	obs, err := core.NewRelationObservable(rel, rng.New(seed), opts)
+	obs, err := NewSampler(rel, seed, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -210,37 +190,25 @@ func EstimateVolume(rel *Relation, seed uint64, opts Options) (float64, error) {
 // MedianVolume amplifies the confidence of the volume estimate by
 // running k independent estimators in parallel and returning the median
 // — the classical powering that realises Definition 2.2's ln(1/δ)
-// complexity dependence.
+// complexity dependence. Each estimator is a cold NewSampler.
 //
 // Deprecated: prefer DB.Volume over a handle, or
 // PreparedSampler.MedianVolumeCtx for warm median amplification with a
-// context. Kept for compatibility; the k estimators now bind
-// independent seeds against one shared warm preparation instead of
-// each paying a cold sampler setup.
+// context.
 func MedianVolume(rel *Relation, k int, baseSeed uint64, opts Options) (float64, error) {
-	if _, ps, _, ok := preparedRelation(rel, opts); ok {
-		return ps.MedianVolumeCtx(context.Background(), k, baseSeed)
-	}
 	return core.MedianVolume(func(seed uint64) (Observable, error) {
-		return core.NewRelationObservable(rel, rng.New(seed), opts)
+		return NewSampler(rel, seed, opts)
 	}, k, baseSeed)
 }
 
 // SampleMany draws n almost-uniform samples using w parallel workers,
-// each with an independent generator.
+// each with an independent cold NewSampler generator.
 //
-// Deprecated: use DB.SampleN(ctx, name, n), which honours ctx. Kept
-// for compatibility; calls now run on the package's shared bounded
-// worker pool over cached geometry, and byte-identical concurrent
-// draws coalesce into a single execution — the same batched executor
-// behind DB.SampleN.
+// Deprecated: use DB.SampleN(ctx, name, n), which honours ctx and draws
+// from the handle's warm preparation on its bounded worker pool.
 func SampleMany(rel *Relation, n, w int, baseSeed uint64, opts Options) ([]Vector, error) {
-	if rt, ps, key, ok := preparedRelation(rel, opts); ok {
-		pts, _, err := rt.Executor().SampleMany(key, ps, n, w, baseSeed)
-		return pts, err
-	}
 	return core.SampleMany(func(seed uint64) (Observable, error) {
-		return core.NewRelationObservable(rel, rng.New(seed), opts)
+		return NewSampler(rel, seed, opts)
 	}, n, w, baseSeed)
 }
 
@@ -277,11 +245,6 @@ func NewSemialgSampler(src string, vars []string, center Vector, innerR, outerR 
 		return nil, err
 	}
 	return core.NewConvex(body, center, innerR, outerR, r, opts)
-}
-
-// NewEngine returns a query engine over the schema.
-func NewEngine(schema Schema, opts Options, seed uint64) *Engine {
-	return query.NewEngine(schema, opts, seed)
 }
 
 // ReconstructConvex draws n samples from a convex relation's generator

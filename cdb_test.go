@@ -1,6 +1,7 @@
 package cdb_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -56,23 +57,23 @@ func TestExactVsEstimated(t *testing.T) {
 }
 
 func TestEngineThroughFacade(t *testing.T) {
-	db, err := cdb.Parse(`
+	db, err := cdb.Open(`
 		rel Land(x, y) := { 0 <= x <= 10, 0 <= y <= 10 };
 		query Strip(x) := exists y. (Land(x, y) & y <= 1);
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := cdb.NewEngine(db.Schema, cdb.DefaultOptions(), 11)
-	q, _ := db.Query("Strip")
-	v, err := e.EstimateVolume(q)
+	defer db.Close()
+	ctx := context.Background()
+	v, err := db.Rel("Strip").Volume(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v < 6 || v > 15 {
 		t.Errorf("strip length = %g, want ~10", v)
 	}
-	sym, err := e.EvalSymbolic(q)
+	sym, err := db.Rel("Strip").EvalSymbolic(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,4 +149,18 @@ func TestProjectAndReconstructFacade(t *testing.T) {
 func polytopeFromTuple(t cdb.Tuple) *cdb.Polytope {
 	a, b := t.System()
 	return &cdb.Polytope{A: a, B: b}
+}
+
+func TestDeprecatedWrappersErrorBehaviourUnchanged(t *testing.T) {
+	empty := &cdb.Relation{Name: "Empty", Vars: []string{"x"}}
+	if _, err := cdb.NewSampler(empty, 1, cdb.DefaultOptions()); err == nil {
+		t.Fatal("NewSampler on an empty relation must keep erroring")
+	}
+	if _, err := cdb.EstimateVolume(empty, 1, cdb.DefaultOptions()); err == nil {
+		t.Fatal("EstimateVolume on an empty relation must keep erroring")
+	}
+	rel := cdb.MustRelation("WarmBadK", []string{"x"}, cdb.Cube(1, 0, 1))
+	if _, err := cdb.MedianVolume(rel, 0, 1, cdb.DefaultOptions()); err == nil {
+		t.Fatal("MedianVolume must keep rejecting k <= 0")
+	}
 }

@@ -48,15 +48,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := cdb.Open(string(src))
+	db, err := cdb.Open(string(src), cdb.WithPrepSeed(*seed))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
-	q, ok := db.Database().Query(*qName)
-	if !ok {
+	if _, ok := db.Database().Query(*qName); !ok {
 		log.Fatalf("query %q not found", *qName)
 	}
+	expr := db.Rel(*qName)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -68,13 +68,11 @@ func main() {
 			fmt.Fprint(os.Stderr, root.String())
 		}()
 	}
-	e := db.Engine(ctx, *seed)
 
 	if *audit {
 		// Warm the sampler (registering it with the auditor), run one
 		// on-demand audit sweep, and print the verdicts plus the
 		// accumulated quality report.
-		expr := db.Rel(*qName)
 		if _, err := expr.SampleNSeeded(ctx, 512, *seed); err != nil {
 			log.Fatal(err)
 		}
@@ -104,7 +102,7 @@ func main() {
 	}
 
 	if *explain {
-		rep, err := db.Rel(*qName).Explain(ctx)
+		rep, err := expr.Explain(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -112,14 +110,14 @@ func main() {
 		if *mode != "volume" {
 			return
 		}
-		// Evaluate through the expression surface, then re-explain: the
-		// second report shows the now-warm (or negative) cache entry.
-		v, err := db.Rel(*qName).Volume(ctx)
+		// Evaluate, then re-explain: the second report shows the
+		// now-warm (or negative) cache entry.
+		v, err := expr.Volume(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("volume(%s) ≈ %.6g\n", *qName, v)
-		rep, err = db.Rel(*qName).Explain(ctx)
+		rep, err = expr.Explain(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -129,18 +127,17 @@ func main() {
 
 	switch *mode {
 	case "plan":
-		plan, err := e.NewPlan(q)
+		rep, err := expr.Explain(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(plan.Describe())
+		fmt.Print(rep.Plan)
 	case "symbolic":
-		// Evaluate through the expression surface: the eliminated DNF is
-		// cached in the handle's prepared-symbolic LRU (keyed by the
-		// canonical plan hash), and — unlike the sampling modes — the
-		// full first-order algebra (minus of a projection, division /
-		// forall) is accepted.
-		rel, err := db.Rel(*qName).EvalSymbolic(ctx)
+		// The eliminated DNF is cached in the handle's prepared-symbolic
+		// LRU (keyed by the canonical plan hash), and — unlike the
+		// sampling modes — the full first-order algebra (minus of a
+		// projection, division / forall) is accepted.
+		rel, err := expr.EvalSymbolic(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -149,13 +146,13 @@ func main() {
 		fmt.Println(rel.Source())
 		fmt.Printf("-- %d tuple(s), description size %d\n", len(rel.Tuples), rel.Size())
 	case "volume":
-		v, err := e.EstimateVolume(q)
+		v, err := expr.Volume(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("volume(%s) ≈ %.6g\n", *qName, v)
 	case "reconstruct":
-		est, err := e.Reconstruct(q, *n)
+		est, err := expr.Reconstruct(ctx, *n)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -73,6 +73,27 @@ query W(x, y) := S(x, y);
 		}
 	})
 
+	t.Run("cdbquery volume", func(t *testing.T) {
+		out := run("./cmd/cdbquery", "-file", dbPath, "-query", "Q", "-mode", "volume")
+		if !strings.Contains(out, "volume(Q) ≈") {
+			t.Errorf("volume output %q", out)
+		}
+	})
+
+	t.Run("cdbquery reconstruct", func(t *testing.T) {
+		out := run("./cmd/cdbquery", "-file", dbPath, "-query", "Q", "-mode", "reconstruct", "-n", "100")
+		if !strings.Contains(out, "reconstruction of Q:") || !strings.Contains(out, "hull 0:") {
+			t.Errorf("reconstruct output %q, want at least one hull", out)
+		}
+	})
+
+	t.Run("cdbvol query", func(t *testing.T) {
+		out := run("./cmd/cdbvol", "-file", dbPath, "-query", "Q")
+		if !strings.Contains(out, "sampling plan") {
+			t.Errorf("query volume output %q", out)
+		}
+	})
+
 	t.Run("cdbquery explain", func(t *testing.T) {
 		out := run("./cmd/cdbquery", "-file", dbPath, "-query", "Q", "-explain")
 		for _, want := range []string{"canonical key: cplan:", "cache: miss", "disjunct 0"} {

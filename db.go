@@ -40,8 +40,10 @@ var ErrClosed = errors.New("cdb: database handle is closed")
 
 // ErrNeedsProjection reports a query whose sampling plan requires the
 // projection generator (Algorithm 2) and therefore has no cacheable
-// prepared sampler. DB.Sampler and Expr.Sampler return it; SampleN,
-// Samples and Volume run such plans on a per-call query engine instead.
+// prepared sampler. DB.Sampler and Expr.Sampler return it; the other
+// sampling terminals (SampleN, Samples, Volume, Reconstruct, Query,
+// QueryVolume) run such plans on Algorithm 2's per-call projection
+// generator inside the plan executor instead.
 var ErrNeedsProjection = runtime.ErrNeedsProjection
 
 // dbConfig collects the functional options of Open/OpenDatabase.
@@ -467,50 +469,32 @@ func (db *DB) Volume(ctx context.Context, name string, copts ...CallOption) (flo
 // Query returns a generator/estimator for a named query via its
 // sampling plan (Theorem 4.4's existential fragment: unions,
 // intersections, differences and projections of the schema relations).
-// The observable's hot loops honour ctx. Each call builds an
-// independent engine under a fresh seed.
+// It is the stream db.Rel(name).Samples draws from, bound to a fresh
+// seed of the handle's sequence, and its hot loops honour ctx.
 func (db *DB) Query(ctx context.Context, name string) (Observable, error) {
 	if err := db.check(ctx); err != nil {
 		return nil, err
 	}
-	q, ok := db.entry.DB.Query(name)
-	if !ok {
+	if _, ok := db.entry.DB.Query(name); !ok {
 		return nil, fmt.Errorf("cdb: query %q not found", name)
 	}
-	return db.engine(ctx, db.nextSeed()).Observable(q)
+	x, err := db.named(name, nil).exec(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return x.Stream(ctx, db.nextSeed())
 }
 
 // QueryVolume estimates the volume of a named query's result through
-// its sampling plan.
+// its sampling plan — exactly db.Rel(name).Volume.
 func (db *DB) QueryVolume(ctx context.Context, name string) (float64, error) {
 	if err := db.check(ctx); err != nil {
 		return 0, err
 	}
-	q, ok := db.entry.DB.Query(name)
-	if !ok {
+	if _, ok := db.entry.DB.Query(name); !ok {
 		return 0, fmt.Errorf("cdb: query %q not found", name)
 	}
-	return db.engine(ctx, db.nextSeed()).EstimateVolume(q)
-}
-
-// Engine returns a query engine over the handle's schema whose
-// generators honour ctx, for the surfaces the prepared cache does not
-// cover (symbolic evaluation, plan inspection, reconstruction).
-func (db *DB) Engine(ctx context.Context, seed uint64) *Engine {
-	return db.engine(ctx, seed)
-}
-
-func (db *DB) engine(ctx context.Context, seed uint64) *Engine {
-	return db.engineWith(ctx, seed, db.opts)
-}
-
-// engineWith is engine with explicit (per-call or per-expression)
-// options.
-func (db *DB) engineWith(ctx context.Context, seed uint64, opts Options) *Engine {
-	if ctx != nil && ctx.Done() != nil {
-		opts.Interrupt = ctx.Err
-	}
-	return query.NewEngine(db.entry.DB.Schema, opts, seed)
+	return db.named(name, nil).Volume(ctx)
 }
 
 // TimeSlice returns the warm sampler for the t = t0 snapshot of a

@@ -1,6 +1,7 @@
 package cdb_test
 
 import (
+	"context"
 	"fmt"
 
 	cdb "repro"
@@ -48,16 +49,16 @@ func ExampleExactVolume() {
 	// Output: 3.0
 }
 
-// ExampleNewEngine evaluates a query by sampling — no quantifier
-// elimination — and symbolically for comparison.
-func ExampleNewEngine() {
-	db, _ := cdb.Parse(`
+// ExampleExpr_EvalSymbolic evaluates a named query symbolically: the
+// existential quantifier is eliminated by Fourier–Motzkin, the baseline
+// the sampling terminals are measured against.
+func ExampleExpr_EvalSymbolic() {
+	db, _ := cdb.Open(`
 		rel S(x, y) := { 0 <= x <= 2, 0 <= y <= 1 };
 		query Q(x)  := exists y. S(x, y);
 	`)
-	q, _ := db.Query("Q")
-	engine := cdb.NewEngine(db.Schema, cdb.DefaultOptions(), 7)
-	sym, _ := engine.EvalSymbolic(q)
+	defer db.Close()
+	sym, _ := db.Rel("Q").EvalSymbolic(context.Background())
 	fmt.Println(sym.Contains(cdb.Vector{1}), sym.Contains(cdb.Vector{3}))
 	// Output: true false
 }

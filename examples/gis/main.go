@@ -26,16 +26,22 @@ func main() {
 	m := dataset.NewParcelMap(r, 60, 100)
 	fmt.Printf("synthetic map: %d parcels on a 100x100 grid\n\n", len(m.Parcels))
 
-	opts := cdb.DefaultOptions()
-
 	// 1. Total area by land-use class, with exact ground truth from the
-	//    fixed-dimension algorithm where feasible.
+	//    fixed-dimension algorithm where feasible. Each class is prepared
+	//    once (rounding, volume phases); the questions below bind fresh
+	//    generators to the same geometry.
+	prepared := map[string]*cdb.PreparedSampler{}
 	for _, kind := range dataset.Kinds {
 		rel := m.Relation(kind)
 		if len(rel.Tuples) == 0 {
 			continue
 		}
-		est, err := cdb.EstimateVolume(rel, 1, opts)
+		ps, err := cdb.PrepareSampler(rel, 1, cdb.DefaultOptions())
+		if err != nil {
+			log.Fatalf("%s: %v", kind, err)
+		}
+		prepared[kind] = ps
+		est, err := ps.Volume(1)
 		if err != nil {
 			log.Fatalf("%s: %v", kind, err)
 		}
@@ -52,8 +58,7 @@ func main() {
 	//    Sample the industrial relation, test zone membership: the
 	//    rejection estimator of Proposition 4.1.
 	zone := dataset.Zone(50, 50, 25)
-	industrial := m.Relation("industrial")
-	gen, err := cdb.NewSampler(industrial, 2, opts)
+	gen, err := prepared["industrial"].NewObservable(2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,8 +79,7 @@ func main() {
 	// 3. Mean distance of park land from the centre — an aggregate the
 	//    paper's introduction calls out (statistical analysis over
 	//    spatial data).
-	parks := m.Relation("park")
-	pgen, err := cdb.NewSampler(parks, 3, opts)
+	pgen, err := prepared["park"].NewObservable(3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,9 +1,10 @@
-// Quickstart: parse a constraint database, draw almost-uniform samples
+// Quickstart: open a constraint database, draw almost-uniform samples
 // from a relation, and estimate its volume — the two primitives the
 // paper builds everything on.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,34 +22,33 @@ query Extent(x) := exists y. Region(x, y);
 `
 
 func main() {
-	db, err := cdb.Parse(program)
+	db, err := cdb.Open(program)
 	if err != nil {
 		log.Fatal(err)
 	}
-	region, _ := db.Relation("Region")
+	defer db.Close()
+	ctx := context.Background()
+	region := db.Rel("Region")
 
-	// 1. An almost-uniform (γ, ε, δ)-generator for the relation
+	// 1. Almost-uniform samples from the relation's (γ, ε, δ)-generator
 	//    (Dyer–Frieze–Kannan walks per tuple under the union combinator).
-	gen, err := cdb.NewSampler(region, 42, cdb.DefaultOptions())
+	pts, err := region.SampleNSeeded(ctx, 5, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("five almost-uniform samples of Region:")
-	for i := 0; i < 5; i++ {
-		p, err := gen.Sample()
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, p := range pts {
 		fmt.Printf("  (%.3f, %.3f)\n", p[0], p[1])
 	}
 
 	// 2. A relative (ε, δ)-volume estimate vs the exact fixed-dimension
 	//    computation (Lemma 3.1): triangle 0.5 + square 1.0 = 1.5.
-	est, err := gen.Volume()
+	est, err := region.Volume(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exact, err := cdb.ExactVolume(region)
+	rel, _ := db.Database().Relation("Region")
+	exact, err := cdb.ExactVolume(rel)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,9 +56,7 @@ func main() {
 
 	// 3. Query evaluation without quantifier elimination: the sampling
 	//    plan estimates the volume of ∃y Region(x, y) = [0,1] ∪ [2,3].
-	q, _ := db.Query("Extent")
-	engine := cdb.NewEngine(db.Schema, cdb.DefaultOptions(), 7)
-	qv, err := engine.EstimateVolume(q)
+	qv, err := db.Rel("Extent").Volume(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 // Reconstruction example: Definition 4.1 set-estimators in action.
 // Starting from a query whose result we never compute symbolically, the
-// engine draws almost-uniform samples per disjunct (Algorithm 5), builds
+// handle draws almost-uniform samples per disjunct (Algorithm 5), builds
 // convex hulls, and we measure the quality vol(S Δ Ŝ)/vol(S) against the
 // symbolic ground truth — the exact acceptance criterion of the paper's
 // Definition 4.1.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,20 +27,21 @@ query Reach(x, y) := Area(x, y) | Corridor(x, y);
 `
 
 func main() {
-	db, err := cdb.Parse(program)
+	db, err := cdb.Open(program)
 	if err != nil {
 		log.Fatal(err)
 	}
-	q, _ := db.Query("Reach")
-	engine := cdb.NewEngine(db.Schema, cdb.DefaultOptions(), 5)
+	defer db.Close()
+	ctx := context.Background()
+	reach := db.Rel("Reach")
 
 	for _, n := range []int{50, 200, 1000} {
-		est, err := engine.Reconstruct(q, n)
+		est, err := reach.Reconstruct(ctx, n)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Ground truth by symbolic evaluation + exact volume.
-		sym, err := engine.EvalSymbolic(q)
+		sym, err := reach.EvalSymbolic(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,7 +19,6 @@ package cdb
 import (
 	"context"
 	"errors"
-	"fmt"
 	"iter"
 	"sync"
 	"time"
@@ -432,18 +431,12 @@ func (e *Expr) VolumeSymbolic(ctx context.Context) (float64, error) {
 }
 
 // Reconstruct runs Algorithm 5 on the expression: per-disjunct hulls of
-// n samples each, unioned into a SetEstimate.
+// n samples each, unioned into a SetEstimate, under a fresh seed of the
+// handle's sequence. A provably empty expression returns ErrEmptyExpr.
 func (e *Expr) Reconstruct(ctx context.Context, n int) (*SetEstimate, error) {
-	if err := e.db.check(ctx); err != nil {
-		return nil, err
-	}
-	cp, err := e.compile()
+	x, err := e.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if cp.Empty() {
-		return nil, fmt.Errorf("cdb: reconstruct: %w", ErrEmptyExpr)
-	}
-	eng := e.db.engineWith(ctx, e.db.nextSeed(), e.effectiveOptions())
-	return eng.ReconstructFromPlan(cp.Plan, n)
+	return x.Reconstruct(ctx, n, e.db.nextSeed())
 }

@@ -1,10 +1,8 @@
 package cdb_test
 
 // Benchmarks of the algebra surface: a composed expression served warm
-// from the canonical-plan cache vs the historical per-call Engine
-// evaluation of the equivalent query (which replans and rebuilds the
-// DFK generators on every request), plus the O(1) replay of a provably
-// empty expression. Results are recorded in BENCH_cdbserve.json.
+// from the canonical-plan cache, plus the O(1) replay of a provably
+// empty expression.
 
 import (
 	"context"
@@ -13,15 +11,14 @@ import (
 	cdb "repro"
 )
 
-// The 4D composed workload mirrors BENCH_cdbserve.json's cache bench:
-// in R^4 the preparation pass (rounding, well-boundedness witnesses,
-// telescoping volume estimates per tuple) dominates, which is exactly
-// the cost the canonical-plan cache amortises.
+// The 4D composed workload: in R^4 the preparation pass (rounding,
+// well-boundedness witnesses, telescoping volume estimates per tuple)
+// dominates, which is exactly the cost the canonical-plan cache
+// amortises.
 const benchAlgebraProgram = `
 rel A(x, y, z, w) := { 0 <= x <= 1, 0 <= y <= 1, 0 <= z <= 1, 0 <= w <= 1 };
 rel B(x, y, z, w) := { 0.25 <= x <= 2, 0 <= y <= 1, 0 <= z <= 1, 0 <= w <= 1 };
 rel C(x, y, z, w) := { 1.5 <= x <= 3, 0 <= y <= 1, 0 <= z <= 1, 0 <= w <= 1 };
-query COMP(x, y, z, w) := (A(x, y, z, w) | C(x, y, z, w)) & B(x, y, z, w);
 `
 
 const benchComposedN = 16
@@ -44,35 +41,6 @@ func BenchmarkExprComposedWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := expr.SampleNSeeded(ctx, benchComposedN, uint64(i)+1); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineComposedPerCall: the same composed set evaluated the
-// historical way — a fresh query engine per request, replanning the
-// formula and rebuilding rounding/well-boundedness/volume setup before
-// the first sample.
-func BenchmarkEngineComposedPerCall(b *testing.B) {
-	db, err := cdb.Open(benchAlgebraProgram)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	q, ok := db.Database().Query("COMP")
-	if !ok {
-		b.Fatal("query COMP not found")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := cdb.NewEngine(db.Database().Schema, cdb.DefaultOptions(), uint64(i)+1)
-		obs, err := eng.Observable(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < benchComposedN; j++ {
-			if _, err := obs.Sample(); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

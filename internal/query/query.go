@@ -1,17 +1,17 @@
 // Package query evaluates FO+LIN queries over a constraint database two
 // ways:
 //
-//   - Symbolically (EvalSymbolic): predicate inlining, normalisation and
-//     Fourier–Motzkin quantifier elimination — the classical constraint
-//     database evaluation whose cost explodes with the number of
-//     eliminated variables.
-//   - By sampling (Observable / EstimateVolume / Reconstruct): the
-//     paper's approach. The formula is normalised into an existential
-//     positive plan — a disjunction of (conjunction of atoms, ∃-vars)
-//     disjuncts — and mapped onto the core combinators: DFK generators
-//     for conjunctions, the projection generator for ∃, the union
-//     generator across disjuncts, and per-disjunct hulls for shape
-//     reconstruction (Algorithm 5).
+//   - Symbolically (SymbolicQuery.Eval): predicate inlining,
+//     normalisation and Fourier–Motzkin quantifier elimination — the
+//     classical constraint database evaluation whose cost explodes with
+//     the number of eliminated variables.
+//   - By sampling (Engine.ObservableFromPlan / ReconstructFromPlan): the
+//     paper's approach. An algebra expression (Node.Compile) is
+//     normalised into an existential positive plan — a disjunction of
+//     (conjunction of atoms, ∃-vars) disjuncts — and mapped onto the
+//     core combinators: DFK generators for conjunctions, the projection
+//     generator for ∃, the union generator across disjuncts, and
+//     per-disjunct hulls for shape reconstruction (Algorithm 5).
 package query
 
 import (
@@ -35,7 +35,9 @@ import (
 // is again a linear atom.
 var ErrUnsupported = errors.New("query: formula outside the existential sampling fragment")
 
-// Engine evaluates queries against a schema.
+// Engine builds per-call generators for compiled plans: the Algorithm 2
+// fallback for plans whose disjuncts keep existential coordinates, which
+// have no prepared sampler.
 type Engine struct {
 	Schema constraint.Schema
 	Opts   core.Options
@@ -45,18 +47,6 @@ type Engine struct {
 // NewEngine returns an engine with the given schema, options and seed.
 func NewEngine(schema constraint.Schema, opts core.Options, seed uint64) *Engine {
 	return &Engine{Schema: schema, Opts: opts, R: rng.New(seed)}
-}
-
-// EvalSymbolic compiles the query into a generalized relation by
-// quantifier elimination — the baseline the sampling evaluation is
-// measured against (experiment E9).
-func (e *Engine) EvalSymbolic(q constraint.Query) (*constraint.Relation, error) {
-	rel, err := constraint.Compile(q.F, e.Schema, q.Vars)
-	if err != nil {
-		return nil, err
-	}
-	rel.Name = q.Name
-	return rel, nil
 }
 
 // Plan is the sampling execution plan: a disjunction of convex-or-
@@ -92,21 +82,11 @@ func (p *Plan) Describe() string {
 	return sb.String()
 }
 
-// NewPlan normalises the query formula into an existential positive
-// plan: inline predicates, push negation onto atoms, distribute to DNF
-// and float each disjunct's existential variables.
-func (e *Engine) NewPlan(q constraint.Query) (*Plan, error) {
-	f, err := inline(q.F, e.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return planInlined(q.Vars, f)
-}
-
 // planInlined runs the plan pipeline on an already-inlined formula
 // (predicates replaced by their DNF bodies): negation pushdown, alpha
 // renaming of binders, DNF normalisation and per-disjunct polytope
-// layout. Shared by NewPlan and the algebra compiler.
+// layout. The algebra compiler (Node.Compile, Node.CompileSymbolic)
+// runs it on every expression.
 func planInlined(outVars []string, f constraint.Formula) (*Plan, error) {
 	f, err := toNNF(f, false)
 	if err != nil {
@@ -132,24 +112,10 @@ func planInlined(outVars []string, f constraint.Formula) (*Plan, error) {
 	return plan, nil
 }
 
-// Observable builds the paper's compositional generator for the query:
-// per-disjunct DFK or projection generators under the union combinator.
-func (e *Engine) Observable(q constraint.Query) (core.Observable, error) {
-	plan, err := e.NewPlan(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.observableFromPlan(plan, q.Name)
-}
-
-// ObservableFromPlan builds the compositional generator directly from a
-// plan — the entry point for pre-planned (and canonicalized) algebra
-// expressions, which skip the per-call normalisation pass.
+// ObservableFromPlan builds the paper's compositional generator for a
+// compiled (and canonicalized) plan: per-disjunct DFK or projection
+// generators under the union combinator.
 func (e *Engine) ObservableFromPlan(plan *Plan) (core.Observable, error) {
-	return e.observableFromPlan(plan, "expression")
-}
-
-func (e *Engine) observableFromPlan(plan *Plan, name string) (core.Observable, error) {
 	var members []core.Observable
 	for i, d := range plan.Disjuncts {
 		obs, err := e.disjunctObservable(d)
@@ -162,7 +128,7 @@ func (e *Engine) observableFromPlan(plan *Plan, name string) (core.Observable, e
 		members = append(members, obs)
 	}
 	if len(members) == 0 {
-		return nil, fmt.Errorf("query: %s defines an empty (or zero-measure) set", name)
+		return nil, errors.New("query: expression defines an empty (or zero-measure) set")
 	}
 	if len(members) == 1 {
 		return members[0], nil
@@ -179,59 +145,6 @@ func (e *Engine) disjunctObservable(d PlanDisjunct) (core.Observable, error) {
 		keep[i] = i
 	}
 	return core.NewProjection(d.Poly, keep, e.R.Split(), e.Opts)
-}
-
-// EstimateVolume returns the sampling-based volume of the query result.
-func (e *Engine) EstimateVolume(q constraint.Query) (float64, error) {
-	obs, err := e.Observable(q)
-	if err != nil {
-		return 0, err
-	}
-	return obs.Volume()
-}
-
-// EstimateVolumeFromPlan returns the sampling-based volume directly
-// from a plan.
-func (e *Engine) EstimateVolumeFromPlan(plan *Plan) (float64, error) {
-	obs, err := e.ObservableFromPlan(plan)
-	if err != nil {
-		return 0, err
-	}
-	return obs.Volume()
-}
-
-// EstimateMean estimates E[f(x)] for x uniform on the query result — the
-// aggregate-query use case of the paper's introduction (statistical
-// analysis and approximate aggregation in GIS workloads).
-func (e *Engine) EstimateMean(q constraint.Query, f func(linalg.Vector) float64, n int) (float64, error) {
-	obs, err := e.Observable(q)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	got := 0
-	for i := 0; i < n; i++ {
-		x, err := obs.Sample()
-		if err != nil {
-			continue
-		}
-		sum += f(x)
-		got++
-	}
-	if got == 0 {
-		return 0, core.ErrGeneratorFailed
-	}
-	return sum / float64(got), nil
-}
-
-// Reconstruct runs Algorithm 5 on the query: per-disjunct hulls of n
-// samples each, unioned.
-func (e *Engine) Reconstruct(q constraint.Query, n int) (*reconstruct.SetEstimate, error) {
-	plan, err := e.NewPlan(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.ReconstructFromPlan(plan, n)
 }
 
 // ReconstructFromPlan runs Algorithm 5 directly on a plan.

@@ -2,7 +2,6 @@ package query
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -29,17 +28,55 @@ func mustParse(t *testing.T, src string) *constraint.Database {
 	return db
 }
 
+// observableOf builds the per-call generator for a named target,
+// planned by the algebra compiler every surface plans with.
+func observableOf(db *constraint.Database, name string, seed uint64) (core.Observable, error) {
+	plan, err := NewRel(name).Compile(db)
+	if err != nil {
+		return nil, err
+	}
+	return NewEngine(db.Schema, fastOpts(), seed).ObservableFromPlan(plan)
+}
+
+// volumeOf is the sampling-based volume of a named target.
+func volumeOf(t *testing.T, db *constraint.Database, name string, seed uint64) float64 {
+	t.Helper()
+	obs, err := observableOf(db, name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := obs.Volume()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// symbolicOf evaluates a named target by quantifier elimination.
+func symbolicOf(t *testing.T, db *constraint.Database, name string) *constraint.Relation {
+	t.Helper()
+	sq, err := NewRel(name).CompileSymbolic(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := sq.Eval()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// queryDB wraps a hand-built query in a database over schema.
+func queryDB(schema constraint.Schema, q constraint.Query) *constraint.Database {
+	return &constraint.Database{Schema: schema, Queries: []constraint.Query{q}}
+}
+
 func TestEvalSymbolicMatchesParser(t *testing.T) {
 	db := mustParse(t, `
 		rel S(x, y) := { 0 <= x <= 2, 0 <= y <= 2 };
 		query Q(x) := exists y. S(x, y);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 1)
-	rel, err := e.EvalSymbolic(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := symbolicOf(t, db, "Q")
 	if !rel.Contains(linalg.Vector{1}) || rel.Contains(linalg.Vector{3}) {
 		t.Error("symbolic projection wrong")
 	}
@@ -50,9 +87,7 @@ func TestPlanConvexQuery(t *testing.T) {
 		rel S(x, y) := { 0 <= x <= 1, 0 <= y <= 1 };
 		query Q(x, y) := S(x, y);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 2)
-	plan, err := e.NewPlan(q)
+	plan, err := NewRel("Q").Compile(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +104,7 @@ func TestPlanUnionQuery(t *testing.T) {
 		rel S(x) := { 0 <= x <= 1 } | { 5 <= x <= 6 };
 		query Q(x) := S(x);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 3)
-	plan, err := e.NewPlan(q)
+	plan, err := NewRel("Q").Compile(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +118,7 @@ func TestPlanExistentialQuery(t *testing.T) {
 		rel S(x, y) := { 0 <= x <= 1, 0 <= y <= 1 };
 		query Q(x) := exists y. S(x, y);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 4)
-	plan, err := e.NewPlan(q)
+	plan, err := NewRel("Q").Compile(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +136,7 @@ func TestPlanDropsUnusedExistentials(t *testing.T) {
 		rel S(x) := { 0 <= x <= 1 };
 		query Q(x) := exists z. S(x);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 5)
-	plan, err := e.NewPlan(q)
+	plan, err := NewRel("Q").Compile(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +151,7 @@ func TestPlanNegatedAtomSupported(t *testing.T) {
 		rel S(x) := { 0 <= x <= 1 };
 		query Q(x) := S(x) & !(x <= 1/2);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 6)
-	obs, err := e.Observable(q)
+	obs, err := observableOf(db, "Q", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +171,7 @@ func TestPlanRejectsUniversal(t *testing.T) {
 		rel S(x, y) := { 0 <= x <= 1, 0 <= y <= 1 };
 		query Q(x) := forall y. S(x, y);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 7)
-	if _, err := e.NewPlan(q); !errors.Is(err, ErrUnsupported) {
+	if _, err := NewRel("Q").Compile(db); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("universal quantifier error = %v, want ErrUnsupported", err)
 	}
 }
@@ -156,9 +181,7 @@ func TestPlanRejectsNegatedExists(t *testing.T) {
 		rel S(x, y) := { 0 <= x <= 1, 0 <= y <= 1 };
 		query Q(x) := !(exists y. S(x, y));
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 8)
-	if _, err := e.NewPlan(q); !errors.Is(err, ErrUnsupported) {
+	if _, err := NewRel("Q").Compile(db); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("negated exists error = %v, want ErrUnsupported", err)
 	}
 }
@@ -170,18 +193,9 @@ func TestEstimateVolumeMatchesSymbolic(t *testing.T) {
 		rel S(x, y) := { x >= 0, y >= 0, x + y <= 1 };
 		query Q(x) := exists y. S(x, y);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 9)
-	est, err := e.EstimateVolume(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := volumeOf(t, db, "Q", 9)
 	// Symbolic ground truth.
-	rel, err := e.EvalSymbolic(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := core.ExactVolume(rel)
+	exact, err := core.ExactVolume(symbolicOf(t, db, "Q"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +210,7 @@ func TestEstimateVolumeUnionQuery(t *testing.T) {
 		rel B(x, y) := { 1 <= x <= 3, 1 <= y <= 3 };
 		query U(x, y) := A(x, y) | B(x, y);
 	`)
-	q, _ := db.Query("U")
-	e := NewEngine(db.Schema, fastOpts(), 10)
-	est, err := e.EstimateVolume(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := volumeOf(t, db, "U", 10)
 	if !num.WithinRatio(est, 7, 0.4) {
 		t.Errorf("union volume = %g, want ~7", est)
 	}
@@ -215,31 +224,9 @@ func TestEstimateVolumeConjunctionOfRelations(t *testing.T) {
 		rel B(x, y) := { 1 <= x <= 3, 1 <= y <= 3 };
 		query I(x, y) := A(x, y) & B(x, y);
 	`)
-	q, _ := db.Query("I")
-	e := NewEngine(db.Schema, fastOpts(), 11)
-	est, err := e.EstimateVolume(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := volumeOf(t, db, "I", 11)
 	if !num.WithinRatio(est, 1, 0.4) {
 		t.Errorf("conjunction volume = %g, want ~1", est)
-	}
-}
-
-func TestEstimateMeanAggregate(t *testing.T) {
-	// E[x] over the unit square is 0.5 — the aggregate-query use case.
-	db := mustParse(t, `
-		rel S(x, y) := { 0 <= x <= 1, 0 <= y <= 1 };
-		query Q(x, y) := S(x, y);
-	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 12)
-	mean, err := e.EstimateMean(q, func(x linalg.Vector) float64 { return x[0] }, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mean-0.5) > 0.05 {
-		t.Errorf("E[x] = %g, want ~0.5", mean)
 	}
 }
 
@@ -250,9 +237,11 @@ func TestReconstructQuery(t *testing.T) {
 		rel S(x, z, y) := { 0 <= x <= 1, 0 <= z <= 1, 0 <= y <= 1, x + y + z <= 2 };
 		query Q(x, z) := exists y. S(x, z, y);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 13)
-	est, err := e.Reconstruct(q, 300)
+	plan, err := NewRel("Q").Compile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := NewEngine(db.Schema, fastOpts(), 13).ReconstructFromPlan(plan, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +262,7 @@ func TestObservableEmptyQueryRejected(t *testing.T) {
 		rel S(x) := { 0 <= x <= 1 };
 		query Q(x) := S(x) & x >= 2;
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 14)
-	if _, err := e.Observable(q); err == nil {
+	if _, err := observableOf(db, "Q", 14); err == nil {
 		t.Error("empty query must be rejected")
 	}
 }
@@ -283,8 +270,7 @@ func TestObservableEmptyQueryRejected(t *testing.T) {
 func TestObservableUnknownRelation(t *testing.T) {
 	q := constraint.Query{Name: "Q", Vars: []string{"x"},
 		F: constraint.Pred{Name: "Missing", Args: []string{"x"}}}
-	e := NewEngine(constraint.Schema{}, fastOpts(), 15)
-	if _, err := e.Observable(q); err == nil {
+	if _, err := observableOf(queryDB(constraint.Schema{}, q), "Q", 15); err == nil {
 		t.Error("unknown relation must be rejected")
 	}
 }
@@ -292,8 +278,7 @@ func TestObservableUnknownRelation(t *testing.T) {
 func TestPlanFreeVariableNotInOutput(t *testing.T) {
 	q := constraint.Query{Name: "Q", Vars: []string{"x"},
 		F: constraint.AtomF{Vars: []string{"x", "y"}, Atom: constraint.NewAtom(linalg.Vector{1, 1}, 1, false)}}
-	e := NewEngine(constraint.Schema{}, fastOpts(), 16)
-	if _, err := e.NewPlan(q); err == nil {
+	if _, err := NewRel("Q").Compile(queryDB(constraint.Schema{}, q)); err == nil {
 		t.Error("free variable outside outputs must be rejected")
 	}
 }
@@ -303,9 +288,7 @@ func TestPlanDescribe(t *testing.T) {
 		rel S(x, y) := { 0 <= x <= 1, 0 <= y <= 1 };
 		query Q(x) := exists y. S(x, y);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 20)
-	plan, err := e.NewPlan(q)
+	plan, err := NewRel("Q").Compile(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,9 +309,7 @@ func TestUnionOfProjectedDisjuncts(t *testing.T) {
 		rel S(x, y) := { 0 <= x <= 1, 0 <= y <= 1, x + y <= 3/2 };
 		query Q(x) := A(x) | exists y. S(x, y);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 21)
-	plan, err := e.NewPlan(q)
+	plan, err := NewRel("Q").Compile(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +324,12 @@ func TestUnionOfProjectedDisjuncts(t *testing.T) {
 		t.Errorf("expected one convex and one projected disjunct, got ExVars=%v", exCounts)
 	}
 	// Symbolic ground truth: [5,6] ∪ [0,1] has length 2.
-	est, err := e.EstimateVolume(q)
+	e := NewEngine(db.Schema, fastOpts(), 21)
+	obs, err := e.ObservableFromPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := obs.Volume()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +337,7 @@ func TestUnionOfProjectedDisjuncts(t *testing.T) {
 		t.Errorf("mixed-plan volume = %g, want ~2", est)
 	}
 	// Sampling must cover both components.
-	obs, err := e.Observable(q)
+	obs, err = e.ObservableFromPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,20 +365,11 @@ func TestSamplingVsSymbolicProjectionAgreement(t *testing.T) {
 		rel R(x, y, z) := { 0 <= x <= 1, x <= y, y <= x + 1, 0 <= z <= y, y <= 2 };
 		query Q(x) := exists y, z. R(x, y, z);
 	`)
-	q, _ := db.Query("Q")
-	e := NewEngine(db.Schema, fastOpts(), 17)
-	rel, err := e.EvalSymbolic(q)
+	exact, err := core.ExactVolume(symbolicOf(t, db, "Q"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := core.ExactVolume(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := e.EstimateVolume(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := volumeOf(t, db, "Q", 17)
 	if !num.WithinRatio(est, exact, 0.5) {
 		t.Errorf("sampled %g vs symbolic %g", est, exact)
 	}

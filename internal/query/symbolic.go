@@ -181,14 +181,6 @@ func (cp *CanonicalPlan) EvalSymbolic(name string) (*constraint.Relation, error)
 	return cp.evalSymbolic(name, nil, nil)
 }
 
-// EvalSymbolicStats is EvalSymbolic with per-disjunct elimination
-// measurements.
-func (cp *CanonicalPlan) EvalSymbolicStats(name string) (*constraint.Relation, ElimStats, error) {
-	var st ElimStats
-	rel, err := cp.evalSymbolic(name, nil, &st)
-	return rel, st, err
-}
-
 func (cp *CanonicalPlan) evalSymbolic(name string, interrupt func() error, st *ElimStats) (*constraint.Relation, error) {
 	keep := len(cp.Plan.OutVars)
 	out := &constraint.Relation{Name: name, Vars: append([]string(nil), cp.Plan.OutVars...)}

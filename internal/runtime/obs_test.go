@@ -181,7 +181,7 @@ func TestDrawCostsAndCoalescedNoDoubleCount(t *testing.T) {
 	}
 	first := make(chan result, 1)
 	go func() {
-		_, co, err := exec.SampleMany(key, ps, n, w, seed)
+		_, co, err := exec.SampleManyCtx(context.Background(), key, ps, n, w, seed)
 		first <- result{co, err}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
@@ -202,7 +202,7 @@ func TestDrawCostsAndCoalescedNoDoubleCount(t *testing.T) {
 	// shortly after — the waiter's select fires on the closed ready
 	// channel whichever order the two events land in.
 	time.AfterFunc(100*time.Millisecond, func() { close(release) })
-	_, co2, err := exec.SampleMany(key, ps, n, w, seed)
+	_, co2, err := exec.SampleManyCtx(context.Background(), key, ps, n, w, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

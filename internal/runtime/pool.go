@@ -140,23 +140,18 @@ func newExecutor(pool *Pool, sink obs.Sink, costs *obs.Costs) *Executor {
 	return &Executor{pool: pool, inflight: map[string]*draw{}, sink: sink, costs: costs}
 }
 
-// SampleMany draws n points from ps with w logical workers and base seed
-// seed, deterministically identical to ps.SampleMany(n, w, seed).
+// SampleManyCtx draws n points from ps with w logical workers and base
+// seed seed, deterministically identical to ps.SampleMany(n, w, seed).
 // samplerKey identifies the prepared sampler (the cache key); coalesced
 // reports that the result was shared with an identical in-flight draw.
-func (e *Executor) SampleMany(samplerKey string, ps *Prepared, n, w int, seed uint64) (pts []linalg.Vector, coalesced bool, err error) {
-	return e.SampleManyCtx(context.Background(), samplerKey, ps, n, w, seed)
-}
-
-// SampleManyCtx is SampleMany with cooperative cancellation: the draw's
-// workers poll ctx between samples and inside every walk epoch, and a
-// coalesced waiter stops waiting when its own ctx is cancelled. The
-// shared draw runs under the initiating request's ctx; if the initiator
-// cancels while a coalesced waiter's ctx is still live, that waiter
-// does not inherit the cancellation — it re-enters and runs the draw
-// itself (output unchanged: the result is deterministic in the seed).
-// Workers always return to the pool — a cancelled batch cannot leak
-// pool capacity.
+// The draw's workers poll ctx between samples and inside every walk
+// epoch, and a coalesced waiter stops waiting when its own ctx is
+// cancelled. The shared draw runs under the initiating request's ctx;
+// if the initiator cancels while a coalesced waiter's ctx is still
+// live, that waiter does not inherit the cancellation — it re-enters
+// and runs the draw itself (output unchanged: the result is
+// deterministic in the seed). Workers always return to the pool — a
+// cancelled batch cannot leak pool capacity.
 func (e *Executor) SampleManyCtx(ctx context.Context, samplerKey string, ps *Prepared, n, w int, seed uint64) (pts []linalg.Vector, coalesced bool, err error) {
 	key := fmt.Sprintf("%s|n=%d|w=%d|seed=%d", samplerKey, n, w, seed)
 	ctx, span := obs.Start(ctx, "sample.batch")

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/linalg"
-	"repro/internal/polytope"
 	"repro/internal/query"
 	"repro/internal/reconstruct"
 )
@@ -75,16 +73,6 @@ func (e *DatabaseEntry) Target(relName, queryName string) (*query.CanonicalPlan,
 	default:
 		return nil, errors.New("missing relation (or query) name")
 	}
-}
-
-// PlanOfRelation lifts a declared relation into plan form: one
-// quantifier-free disjunct per tuple.
-func PlanOfRelation(rel *constraint.Relation) *query.Plan {
-	p := &query.Plan{OutVars: rel.Vars}
-	for _, t := range rel.Tuples {
-		p.Disjuncts = append(p.Disjuncts, query.PlanDisjunct{Poly: polytope.FromTuple(t)})
-	}
-	return p
 }
 
 // PreparedFor returns the cached prepared sampler for a name-addressed
@@ -163,9 +151,11 @@ func (rt *Runtime) buildFromPlan(cp *query.CanonicalPlan, key string, prepSeed *
 // It is the one place that decides how a plan runs — from a warm
 // prepared sampler, as the cached empty verdict (volume 0, no points),
 // or, for plans needing Algorithm 2's projection generator, on a
-// per-call query engine — so every surface (the cdb facade, ExecSQL
-// and the HTTP endpoints) samples, streams and measures a plan the
-// same way.
+// per-call query engine — so every surface samples, streams, measures
+// and reconstructs a plan the same way: the cdb facade (Expr terminals
+// and the named DB methods, DB.Query and DB.QueryVolume included),
+// ExecSQL, and the HTTP endpoints /v1/sample, /v1/volume, /v1/query,
+// /v1/reconstruct, /v1/expr and /v1/sql.
 type Exec struct {
 	// Key is the prepared cache key the plan resolved under; Hit
 	// reports a warm, in-flight or negative cache entry.
@@ -256,7 +246,11 @@ func (x *Exec) Volume(ctx context.Context, seed *uint64) (float64, error) {
 		if seed != nil {
 			s = *seed
 		}
-		return x.engine(ctx, s).EstimateVolumeFromPlan(x.Plan.Plan)
+		obs, err := x.Stream(ctx, s)
+		if err != nil {
+			return 0, err
+		}
+		return obs.Volume()
 	}
 	s := PrepSeedFor(x.Key + "\x1fvolume")
 	if seed != nil {

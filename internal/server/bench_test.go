@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"testing"
 
 	cdb "repro"
@@ -10,7 +11,7 @@ import (
 // The benchmarks quantify the prepared-sampler cache win: the naive
 // serving strategy pays the full rounding + volume setup on every
 // request, the cached strategy pays it once and binds seeds to the warm
-// geometry. BENCH_cdbserve.json records the measured ratio.
+// geometry.
 
 func benchRelation() *cdb.Relation {
 	return cdb.MustRelation("H", []string{"a", "b", "c", "d"},
@@ -72,9 +73,10 @@ func BenchmarkBatchExecutorSampleMany(b *testing.B) {
 	pool := runtime.NewPoolWithSink(4, m)
 	defer pool.Close()
 	exec := runtime.NewExecutorWithSink(pool, m)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, _, err := exec.SampleMany("bench", ps, 1024, 4, uint64(i+1))
+		pts, _, err := exec.SampleManyCtx(ctx, "bench", ps, 1024, 4, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -123,23 +123,27 @@ func (s *Server) targetKey(database, relation, query string, o *OptionsJSON) str
 	return runtime.PlanKey(e.ID, cp.Key, optsKey)
 }
 
-// routeKeyQuery routes named-query evaluation (all modes run through a
-// per-request engine, but repeated evaluations of one query still gain
-// from landing on one node's engine-independent caches).
+// routeKeyQuery routes a named query on the key its evaluation caches
+// under: the plan key /v1/sample routes the same query on, or the
+// symbolic key in symbolic mode, so one plan has one owner whichever
+// endpoint asks for it.
 func routeKeyQuery(s *Server, r *http.Request, body []byte) string {
 	var req queryRequest
 	if json.Unmarshal(body, &req) != nil {
 		return ""
 	}
-	id, ok := s.routeEntryID(req.Database)
-	if !ok || req.Query == "" {
-		return ""
+	if req.Mode != "symbolic" {
+		return s.targetKey(req.Database, "", req.Query, req.Options)
 	}
-	optsKey, ok := routeOptsKey(req.Options)
+	e, ok := s.rt.Registry().Get(req.Database)
 	if !ok {
 		return ""
 	}
-	return runtime.SamplerKey(id, "query", req.Query, optsKey)
+	sq, err := query.NewRel(req.Query).CompileSymbolic(e.DB)
+	if err != nil {
+		return ""
+	}
+	return runtime.SymbolicKey(e.ID, sq.Key)
 }
 
 // routeKeyExpr compiles the expression tree to its canonical plan and

@@ -10,10 +10,12 @@ import (
 	"time"
 
 	cdb "repro"
+	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/obs/quality"
+	"repro/internal/query"
 	"repro/internal/runtime"
 	sqldialect "repro/internal/sql"
 	"repro/internal/walk"
@@ -279,16 +281,6 @@ func needsQueryEndpoint(x *runtime.Exec) error {
 	return nil
 }
 
-// ctxOptions wires the request context into the options' Interrupt
-// hook, so per-request generators (query engines, median estimators)
-// abort their walks when the client goes away. Cached preparations are
-// unaffected: the runtime strips the hook before building shared
-// geometry.
-func ctxOptions(ctx context.Context, opts cdb.Options) cdb.Options {
-	opts.Interrupt = ctx.Err
-	return opts
-}
-
 func cacheLabel(hit bool) string {
 	if hit {
 		return "hit"
@@ -433,7 +425,10 @@ type volumeRequest struct {
 	Seed     uint64 `json:"seed"`
 	// MedianK > 1 runs k independent cold estimators and returns the
 	// median (cdb.MedianVolume's ln(1/δ) confidence amplification); the
-	// default uses the warm prepared estimate.
+	// default uses the warm prepared estimate. The estimators stay cold
+	// on purpose: a warm bind of a single-tuple relation returns its one
+	// preparation-time estimate (see PreparedSampler.MedianVolumeCtx),
+	// so k of them would amplify nothing.
 	MedianK int          `json:"median_k,omitempty"`
 	Options *OptionsJSON `json:"options,omitempty"`
 	// Trace includes the request's span tree in the response.
@@ -483,10 +478,13 @@ func (s *Server) handleVolume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.MedianK > 1 {
-		// k independent cold estimators over the canonical relation.
+		// k independent cold estimators over the canonical relation (see
+		// volumeRequest.MedianK for why they are not warm binds), whose
+		// walks abort when the client goes away.
 		rel, err := x.Plan.Relation(resp.Target)
 		if err == nil {
-			resp.Volume, err = cdb.MedianVolume(rel, req.MedianK, req.Seed, ctxOptions(r.Context(), opts))
+			opts.Interrupt = r.Context().Err
+			resp.Volume, err = cdb.MedianVolume(rel, req.MedianK, req.Seed, opts)
 		}
 		if err != nil {
 			s.writeError(w, "volume", http.StatusInternalServerError, err)
@@ -559,8 +557,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, "query", http.StatusNotFound, fmt.Errorf("database %q not registered", req.Database))
 		return
 	}
-	q, ok := entry.DB.Query(req.Query)
-	if !ok {
+	if _, ok := entry.DB.Query(req.Query); !ok {
 		s.writeError(w, "query", http.StatusNotFound, fmt.Errorf("query %q not found in database %q", req.Query, entry.ID))
 		return
 	}
@@ -582,64 +579,85 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if mode == "" {
 		mode = "volume"
 	}
-	eng := cdb.NewEngine(entry.DB.Schema, ctxOptions(r.Context(), opts), req.Seed)
 	start := time.Now()
 	resp := queryResponse{Database: entry.ID, Query: req.Query, Mode: mode}
 	switch mode {
-	case "volume":
-		v, err := eng.EstimateVolume(q)
-		if err != nil {
-			s.writeError(w, "query", http.StatusInternalServerError, err)
-			return
-		}
-		resp.Volume = &v
-	case "sample":
-		obs, err := eng.Observable(q)
-		if err != nil {
-			s.writeError(w, "query", http.StatusInternalServerError, err)
-			return
-		}
-		pts := make([]cdb.Vector, 0, n)
-		for i := 0; i < n; i++ {
-			x, err := obs.Sample()
-			if err != nil {
-				s.writeError(w, "query", http.StatusInternalServerError, err)
-				return
-			}
-			pts = append(pts, x)
-		}
-		s.metrics.SamplesServed.Add(int64(len(pts)))
-		resp.Points = pts
 	case "plan":
-		plan, err := eng.NewPlan(q)
-		if err != nil {
-			s.writeError(w, "query", http.StatusInternalServerError, err)
-			return
+		// Plan inspection prepares no geometry, like /v1/expr's explain.
+		var cp *query.CanonicalPlan
+		if cp, err = entry.Target("", req.Query); err == nil {
+			resp.Plan = cp.Plan.Describe()
 		}
-		resp.Plan = plan.Describe()
 	case "symbolic":
-		rel, err := eng.EvalSymbolic(q)
-		if err != nil {
-			s.writeError(w, "query", http.StatusInternalServerError, err)
-			return
-		}
-		resp.Source = rel.Source()
-	case "reconstruct":
-		est, err := eng.Reconstruct(q, n)
-		if err != nil {
-			s.writeError(w, "query", http.StatusInternalServerError, err)
-			return
-		}
-		for _, h := range est.Hulls {
-			resp.Hulls = append(resp.Hulls, hullJSON{Vertices: hullVertices(h)})
-		}
+		resp.Source, err = s.querySource(r.Context(), entry, req.Query)
+	case "volume", "sample", "reconstruct":
+		err = s.queryExec(r.Context(), entry, req, mode, n, opts, &resp)
 	default:
 		s.writeError(w, "query", http.StatusBadRequest,
 			fmt.Errorf("unknown mode %q (want volume, sample, plan, symbolic or reconstruct)", mode))
 		return
 	}
+	if err != nil {
+		s.writeError(w, "query", http.StatusInternalServerError, err)
+		return
+	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// queryExec runs a named query's sampling modes through the plan
+// executor, as the name-addressed endpoints do: volume under the
+// request seed like /v1/volume, sample on the default worker count like
+// /v1/sample, and reconstruct like /v1/reconstruct.
+func (s *Server) queryExec(ctx context.Context, entry *runtime.DatabaseEntry, req queryRequest, mode string, n int, opts cdb.Options, resp *queryResponse) error {
+	x, err := s.namedExec(entry, "", req.Query, opts)
+	if err != nil {
+		return err
+	}
+	switch mode {
+	case "volume":
+		v, err := x.Volume(ctx, &req.Seed)
+		if err != nil {
+			return err
+		}
+		resp.Volume = &v
+	case "sample":
+		pts, _, err := x.SampleN(ctx, n, s.cfg.DefaultWorkers, req.Seed)
+		if err != nil {
+			return err
+		}
+		s.metrics.SamplesServed.Add(int64(len(pts)))
+		resp.Points = pts
+	default:
+		est, err := x.Reconstruct(ctx, n, req.Seed)
+		if err != nil {
+			return err
+		}
+		for _, h := range est.Hulls {
+			resp.Hulls = append(resp.Hulls, hullJSON{Vertices: hullVertices(h)})
+		}
+	}
+	return nil
+}
+
+// querySource evaluates a named query through the prepared-symbolic
+// cache, as /v1/expr's symbolic mode does, and renders the eliminated
+// relation as a declaration named after the query.
+func (s *Server) querySource(ctx context.Context, entry *runtime.DatabaseEntry, name string) (string, error) {
+	sq, err := query.NewRel(name).CompileSymbolic(entry.DB)
+	if err != nil {
+		return "", err
+	}
+	se, _, _, err := s.rt.Symbolic(ctx, entry, sq)
+	if errors.Is(err, runtime.ErrEmptyExpr) {
+		return (&constraint.Relation{Name: name, Vars: sq.OutVars}).Source(), nil
+	}
+	if err != nil {
+		return "", err
+	}
+	rel := *se.Rel // the cached entry is shared: rename a copy
+	rel.Name = name
+	return rel.Source(), nil
 }
 
 // --- POST /v1/reconstruct -----------------------------------------------

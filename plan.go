@@ -17,8 +17,8 @@ import (
 )
 
 // QueryPlan is a sampling execution plan: a disjunction of convex-or-
-// projected disjuncts over the output coordinates, as produced by
-// Engine.NewPlan and by Expr compilation.
+// projected disjuncts over the output coordinates, as produced by Expr
+// compilation.
 type QueryPlan = query.Plan
 
 // DisjunctExplain describes one disjunct of a canonical plan.

@@ -1,5 +1,5 @@
-// Benchmark harness: one benchmark per reproduction experiment (E1–E12,
-// see DESIGN.md §5 for the claim-to-experiment mapping) plus
+// Benchmark harness: one benchmark per reproduction experiment (E1–E12;
+// each runE* in internal/experiments names the paper claim it measures) plus
 // micro-benchmarks of the core primitives. The experiment benches run
 // the quick configurations; `cmd/cdbbench` prints the full tables that
 // EXPERIMENTS.md records.

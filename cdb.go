@@ -170,9 +170,11 @@ type PreparedSampler = runtime.Prepared
 // deterministic in (rel, prepSeed, opts).
 //
 // Most callers want DB.Sampler instead, which caches preparations in
-// the handle's LRU and coalesces concurrent builds.
+// the handle's LRU, coalesces concurrent builds and spreads each
+// build's tuples and volume phases over idle CPUs; PrepareSampler
+// prepares them one after another, with the same result.
 func PrepareSampler(rel *Relation, prepSeed uint64, opts Options) (*PreparedSampler, error) {
-	return runtime.Prepare(rel, prepSeed, opts)
+	return runtime.Prepare(rel, prepSeed, opts, nil)
 }
 
 // EstimateVolume is a convenience for NewSampler(...).Volume().

@@ -2,7 +2,9 @@ package cdb_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	cdb "repro"
@@ -34,6 +36,43 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	if v < 0.3 || v > 0.8 {
 		t.Errorf("triangle area estimate = %g, want ~0.5", v)
+	}
+}
+
+// TestBoxScales prepares the box [0, s]² from s = 10⁻⁸ to 10¹⁰⁰ through
+// the handle: the rounding map diag(1/r) must stay invertible at every
+// scale, every draw must lie in the box and the volume within (1±ε)·s².
+func TestBoxScales(t *testing.T) {
+	ctx := context.Background()
+	eps := cdb.DefaultOptions().Params.Eps
+	for _, side := range []string{"1e-8", "1e-3", "1", "1e10", "1e20", "1e50", "1e100"} {
+		t.Run(side, func(t *testing.T) {
+			db, err := cdb.Open(fmt.Sprintf("rel B(x, y) := { x >= 0, x <= %s, y >= 0, y <= %s };", side, side))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			s, err := strconv.ParseFloat(side, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := db.Rel("B").Volume(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(v-s*s) > eps*s*s {
+				t.Errorf("volume = %g, want (1±%g)·%g", v, eps, s*s)
+			}
+			pts, err := db.Rel("B").SampleNSeeded(ctx, 64, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pts {
+				if p[0] < 0 || p[0] > s || p[1] < 0 || p[1] > s {
+					t.Fatalf("draw %v outside [0, %g]²", p, s)
+				}
+			}
+		})
 	}
 }
 

@@ -1,5 +1,5 @@
-// Command cdbbench runs the reproduction experiment suite E1–E12 (see
-// DESIGN.md §5 for the mapping from paper claims to experiments) and
+// Command cdbbench runs the reproduction experiment suite E1–E12 (each
+// runE* in internal/experiments names the paper claim it measures) and
 // prints the measured tables. With -markdown it emits the tables in the
 // format EXPERIMENTS.md records.
 //

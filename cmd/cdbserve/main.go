@@ -34,7 +34,7 @@ func main() {
 	log.SetPrefix("cdbserve: ")
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
-		pool    = flag.Int("pool", 0, "sampling worker pool size (0 = GOMAXPROCS)")
+		pool    = flag.Int("pool", 0, "sampling worker pool size, and the bound on parallel preparation units (0 = GOMAXPROCS)")
 		cache   = flag.Int("cache", 64, "prepared-sampler cache capacity")
 		workers = flag.Int("workers", 0, "default logical workers per sample request (0 = min(4, pool))")
 		maxN    = flag.Int("max-samples", 0, "per-request sample cap (0 = 1e6)")

@@ -83,7 +83,9 @@ func WithCacheSize(n int) Option {
 	return func(c *dbConfig) { c.cacheSize = n }
 }
 
-// WithPoolSize sets the sampling worker pool size (default GOMAXPROCS).
+// WithPoolSize sets the sampling worker pool size (default GOMAXPROCS),
+// which also bounds how many preparation units — tuples and volume
+// phases — run in parallel.
 func WithPoolSize(n int) Option {
 	return func(c *dbConfig) { c.poolSize = n }
 }

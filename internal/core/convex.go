@@ -144,6 +144,13 @@ func NewConvex(body walk.Body, center linalg.Vector, innerR, outerR float64, r *
 // and returns a PreparedConvex whose Bind yields generators that share
 // both. The witnesses are derived exactly as in NewConvexPolytope.
 func PrepareConvexPolytope(poly *polytope.Polytope, r *rng.RNG, opts Options) (*PreparedConvex, error) {
+	return prepareConvexPolytope(poly, r, opts, nil)
+}
+
+// prepareConvexPolytope is PrepareConvexPolytope with the volume pass's
+// phases spread over fan (nil = one after another); the result is the
+// same at any width.
+func prepareConvexPolytope(poly *polytope.Polytope, r *rng.RNG, opts Options, fan *Fanout) (*PreparedConvex, error) {
 	center, innerR, outer, err := polytopeWitnesses(poly)
 	if err != nil {
 		return nil, err
@@ -156,7 +163,7 @@ func PrepareConvexPolytope(poly *polytope.Polytope, r *rng.RNG, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	v, err := probe.Volume()
+	v, err := probe.volume(fan)
 	if err != nil {
 		return nil, fmt.Errorf("core: prepared volume pass: %w", err)
 	}
@@ -171,14 +178,14 @@ func PrepareConvexPolytope(poly *polytope.Polytope, r *rng.RNG, opts Options) (*
 func polytopeWitnesses(poly *polytope.Polytope) (center linalg.Vector, innerR, outer float64, err error) {
 	center, innerR, err = poly.Chebyshev()
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: %w: %v", ErrNotWellBounded, err)
+		return nil, 0, 0, fmt.Errorf("%w: %v", ErrNotWellBounded, err)
 	}
 	if innerR <= 1e-12 {
-		return nil, 0, 0, fmt.Errorf("core: %w: zero inner radius (flat polytope)", ErrNotWellBounded)
+		return nil, 0, 0, fmt.Errorf("%w: zero inner radius (flat polytope)", ErrNotWellBounded)
 	}
 	bc, outerR, err := poly.EnclosingBall()
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: %w: %v", ErrNotWellBounded, err)
+		return nil, 0, 0, fmt.Errorf("%w: %v", ErrNotWellBounded, err)
 	}
 	// Enclose from the Chebyshev centre: |c-bc| + R bounds the body.
 	return center, innerR, center.Dist(bc) + outerR, nil
@@ -305,11 +312,14 @@ func (c *Convex) Sample() (linalg.Vector, error) {
 // with K_i = Q(K) ∩ B(0, (1+1/d)^i) so each ratio lies in [1/e, 1], each
 // estimated by a Chernoff-bounded sampling pass. The original volume is
 // recovered through |det Q|.
-func (c *Convex) Volume() (float64, error) {
+func (c *Convex) Volume() (float64, error) { return c.volume(nil) }
+
+// volume is Volume with the telescoping phases spread over fan.
+func (c *Convex) volume(fan *Fanout) (float64, error) {
 	if c.volKnown {
 		return c.vol, nil
 	}
-	v, err := c.estimateRoundedVolume()
+	v, err := c.estimateRoundedVolume(fan)
 	if err != nil {
 		return 0, err
 	}
@@ -318,7 +328,12 @@ func (c *Convex) Volume() (float64, error) {
 	return c.vol, nil
 }
 
-func (c *Convex) estimateRoundedVolume() (float64, error) {
+// estimateRoundedVolume runs the q phases as independent walks: each
+// gets an RNG split from c.r up front, in phase order, and the ratios,
+// the log-volume and the walk effort are folded back in phase order, so
+// the estimate is the same whether fan runs the phases concurrently or
+// not.
+func (c *Convex) estimateRoundedVolume(fan *Fanout) (float64, error) {
 	d := c.body.Dim()
 	p := c.opts.params()
 	inner := c.rounded.InnerRadius
@@ -361,12 +376,27 @@ func (c *Convex) estimateRoundedVolume() (float64, error) {
 		Capped:         capped,
 		Probes:         int64(q) * int64(n),
 	}
+	rs := make([]*rng.RNG, q)
+	for i := range rs {
+		rs[i] = c.r.Split()
+	}
+	ratios := make([]float64, q)
+	stats := make([]walk.Stats, q)
+	failed, err := fan.each(q, func(i int) error {
+		var err error
+		ratios[i], stats[i], err = c.phaseRatio(radii[i], radii[i+1], n, rs[i])
+		return err
+	})
+	// A failed phase's probe effort still belongs to the ledger; the
+	// phases after it would not have run in sequence.
+	for i := 0; i < q && i <= failed; i++ {
+		c.volStats.mergeWalk(stats[i])
+	}
+	if err != nil {
+		return 0, err
+	}
 	logVol := math.Log(volBallClamped(d, inner))
-	for i := 1; i <= q; i++ {
-		ratio, err := c.phaseRatio(radii[i-1], radii[i], n)
-		if err != nil {
-			return 0, err
-		}
+	for _, ratio := range ratios {
 		logVol -= math.Log(ratio)
 	}
 	return math.Exp(logVol), nil
@@ -379,8 +409,10 @@ func volBallClamped(d int, r float64) float64 {
 }
 
 // phaseRatio estimates vol(K ∩ B(0, rSmall)) / vol(K ∩ B(0, rBig)) by
-// sampling the larger body and counting hits in the smaller ball.
-func (c *Convex) phaseRatio(rSmall, rBig float64, n int) (float64, error) {
+// sampling the larger body with randomness from r and counting hits in
+// the smaller ball. It only reads c, so phases may run concurrently; it
+// returns its probe walker's effort, even when the phase aborts.
+func (c *Convex) phaseRatio(rSmall, rBig float64, n int, r *rng.RNG) (float64, walk.Stats, error) {
 	d := c.body.Dim()
 	big := walk.IntersectionBody{Bodies: []walk.Body{
 		c.rounded.Body,
@@ -393,24 +425,21 @@ func (c *Convex) phaseRatio(rSmall, rBig float64, n int) (float64, error) {
 		// reachable.
 		cfg = walk.Config{Kind: walk.GridWalk, Grid: c.grid, OuterRadius: rBig, Interrupt: c.opts.Interrupt}
 	}
-	w, err := walk.New(big, make(linalg.Vector, d), c.r.Split(), cfg)
+	w, err := walk.New(big, make(linalg.Vector, d), r, cfg)
 	if err != nil {
-		return 0, fmt.Errorf("core: phase walk: %w", err)
+		return 0, walk.Stats{}, fmt.Errorf("core: phase walk: %w", err)
 	}
-	// The probe walker's effort belongs to this generator's ledger even
-	// when the phase aborts mid-run.
-	defer func() { c.volStats.mergeWalk(w.Stats()) }()
 	burn, thin := c.burnIn, c.thin
 	w.Run(burn)
 	if err := w.Err(); err != nil {
-		return 0, err
+		return 0, w.Stats(), err
 	}
 	hits := 0
 	r2 := rSmall * rSmall
 	for i := 0; i < n; i++ {
 		pt := w.Run(thin)
 		if err := w.Err(); err != nil {
-			return 0, err
+			return 0, w.Stats(), err
 		}
 		var norm2 float64
 		for _, v := range pt {
@@ -424,9 +453,9 @@ func (c *Convex) phaseRatio(rSmall, rBig float64, n int) (float64, error) {
 		// The ratio is at least (rSmall/rBig)^d >= 1/e by construction;
 		// zero hits means the walk under-mixed. Fall back to the
 		// analytic lower bound rather than returning a zero volume.
-		return math.Pow(rSmall/rBig, float64(c.body.Dim())), nil
+		return math.Pow(rSmall/rBig, float64(c.body.Dim())), w.Stats(), nil
 	}
-	return float64(hits) / float64(n), nil
+	return float64(hits) / float64(n), w.Stats(), nil
 }
 
 // AcceptanceRate exposes the walker's diagnostic acceptance rate.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -224,8 +225,12 @@ func TestConvexRejectsFlatPolytope(t *testing.T) {
 
 func TestConvexRejectsUnbounded(t *testing.T) {
 	unb := polytope.New([]linalg.Vector{{-1, 0}, {0, -1}}, []float64{0, 0})
-	if _, err := NewConvexPolytope(unb, rng.New(9), fastOpts()); err == nil {
-		t.Error("unbounded polytope must be rejected")
+	_, err := NewConvexPolytope(unb, rng.New(9), fastOpts())
+	if !errors.Is(err, ErrNotWellBounded) {
+		t.Fatalf("err = %v, want ErrNotWellBounded", err)
+	}
+	if want := "core: relation is not well-bounded: lp: no optimal solution"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 }
 

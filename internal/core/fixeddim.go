@@ -22,7 +22,7 @@ import (
 // signed inclusion–exclusion over its tuples with Lasserre's recursion
 // per intersection — the package's realisation of Lemma 3.1 (the paper
 // uses the Bieri–Nef sweep-plane; both are exact and polynomial only for
-// fixed dimension, see DESIGN.md).
+// fixed dimension, so either realises the lemma).
 func ExactVolume(rel *constraint.Relation) (float64, error) {
 	return polytope.RelationVolume(rel)
 }

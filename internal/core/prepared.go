@@ -44,6 +44,15 @@ type PreparedRelation struct {
 // cold path must not pay the eager volume pass and its RNG stream
 // consumption must remain reproducible. Mirror edits in both.
 func PrepareRelation(rel *constraint.Relation, r *rng.RNG, opts Options) (*PreparedRelation, error) {
+	return PrepareRelationFanout(rel, r, opts, nil)
+}
+
+// PrepareRelationFanout is PrepareRelation with the tuples, and each
+// tuple's volume phases, spread over fan (nil = one after another).
+// Every tuple's RNG is split from r up front in tuple order and the
+// members are folded back in that order, so the prepared geometry is
+// bit-identical at any width.
+func PrepareRelationFanout(rel *constraint.Relation, r *rng.RNG, opts Options, fan *Fanout) (*PreparedRelation, error) {
 	if err := opts.params().validate(); err != nil {
 		return nil, err
 	}
@@ -53,12 +62,20 @@ func PrepareRelation(rel *constraint.Relation, r *rng.RNG, opts Options) (*Prepa
 	}
 	p := &PreparedRelation{name: rel.Name, opts: opts, dim: pruned.Tuples[0].Dim()}
 	p.bboxLo, p.bboxHi, p.bboxOK = pruned.BoundingBox()
-	for i, t := range pruned.Tuples {
-		pc, err := PrepareConvexPolytope(polytope.FromTuple(t), r.Split(), opts)
-		if err != nil {
-			return nil, fmt.Errorf("core: relation %q tuple %d: %w", rel.Name, i, err)
-		}
-		p.members = append(p.members, pc)
+	rs := make([]*rng.RNG, len(pruned.Tuples))
+	for i := range rs {
+		rs[i] = r.Split()
+	}
+	p.members = make([]*PreparedConvex, len(pruned.Tuples))
+	failed, err := fan.each(len(p.members), func(i int) error {
+		var err error
+		p.members[i], err = prepareConvexPolytope(polytope.FromTuple(pruned.Tuples[i]), rs[i], opts, fan)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: relation %q tuple %d: %w", rel.Name, failed, err)
+	}
+	for _, pc := range p.members {
 		p.weights = append(p.weights, pc.vol)
 		p.total += pc.vol
 	}

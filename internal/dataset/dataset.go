@@ -4,7 +4,7 @@
 // tests), dumbbells (the union worst case sketched in Section 4.1.1),
 // and a GIS-style land-parcel map (the paper's motivating application
 // domain — spatial databases never fix a dataset, so any bounded union
-// of convex parcels exercises the same code paths; see DESIGN.md).
+// of convex parcels exercises the same code paths).
 package dataset
 
 import (

@@ -12,10 +12,10 @@ import (
 	"repro/internal/walk"
 )
 
-// Ablation experiments A1–A3 isolate the design choices DESIGN.md calls
-// out: the union combinator vs a direct walk on a disconnected-ish body
-// (the paper's own motivating remark in §4.1.1), the choice of random
-// walk, and the rounding pass.
+// Ablation experiments A1–A3 isolate the three design choices the
+// generators rest on: the union combinator vs a direct walk on a
+// disconnected-ish body (the paper's own motivating remark in §4.1.1),
+// the choice of random walk, and the rounding pass.
 
 func init() {
 	registry["A1"] = runA1

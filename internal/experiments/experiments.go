@@ -1,9 +1,10 @@
 // Package experiments implements the reproduction experiment suite
-// E1–E12 described in DESIGN.md §5. The paper is a theory paper with no
-// empirical tables, so each experiment turns one quantitative claim
-// (theorem, complexity bound, or Figure 1's phenomenon) into a measured
-// table whose *shape* — who wins, by what factor, where crossovers fall —
-// is the reproduction target. EXPERIMENTS.md records the measured rows.
+// E1–E12, one per claim of the paper (each runE* names its claim). The
+// paper is a theory paper with no empirical tables, so each experiment
+// turns one quantitative claim (theorem, complexity bound, or Figure 1's
+// phenomenon) into a measured table whose *shape* — who wins, by what
+// factor, where crossovers fall — is the reproduction target.
+// EXPERIMENTS.md records the measured rows.
 //
 // The same code drives `go test -bench` (quick configurations) and the
 // cmd/cdbbench binary (full tables).

@@ -387,8 +387,16 @@ type AffineMap struct {
 }
 
 // NewAffineMap builds an affine map and eagerly validates invertibility.
+// The pivot tolerance is relative to m's largest entry, so a map is
+// judged by its conditioning, not its scale: the rounding map
+// diag(1/r) of a body with inner radius r = 10⁵⁰ is as invertible as
+// the one for r = 1.
 func NewAffineMap(m *Matrix, t Vector) (*AffineMap, error) {
-	f, err := Factor(m, 1e-12)
+	var scale float64
+	for _, v := range m.Data {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	f, err := Factor(m, 1e-12*scale)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,8 @@
 // Every package that compares floats goes through this package so that the
 // tolerance story is consistent. The paper's algorithms are relative-error
 // approximation schemes, so float64 with explicit tolerances is a faithful
-// substrate (see DESIGN.md §2).
+// substrate: their answers already allow relative errors of order ε,
+// far above float64's 2⁻⁵² rounding.
 package num
 
 import (

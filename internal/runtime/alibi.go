@@ -51,7 +51,7 @@ func (rt *Runtime) PreparedAlibi(e *DatabaseEntry, aName, bName string, t0, t1 f
 			return nil, fmt.Errorf("b: %w", err)
 		}
 		start := time.Now()
-		pa, err := PrepareAlibi(relA, relB, t0, t1, PrepSeedFor(key), opts)
+		pa, err := PrepareAlibi(relA, relB, t0, t1, PrepSeedFor(key), opts, rt.fan)
 		if err == nil {
 			c := rt.costs.For(key)
 			c.Preps.Add(1)
@@ -65,8 +65,9 @@ func (rt *Runtime) PreparedAlibi(e *DatabaseEntry, aName, bName string, t0, t1 f
 // PrepareAlibi runs the full alibi setup: meet region construction, the
 // exact Fourier–Motzkin meeting-time elimination, degenerate-tuple
 // pruning and — when the region has positive measure — the prepared
-// sampler over it under prepSeed.
-func PrepareAlibi(relA, relB *constraint.Relation, t0, t1 float64, prepSeed uint64, opts core.Options) (*PreparedAlibi, error) {
+// sampler over it under prepSeed, its units spread over fan (see
+// Prepare).
+func PrepareAlibi(relA, relB *constraint.Relation, t0, t1 float64, prepSeed uint64, opts core.Options, fan *core.Fanout) (*PreparedAlibi, error) {
 	timeCol := spacetime.TimeColumn(relA)
 	region, err := spacetime.MeetRegion(relA, relB, timeCol, t0, t1)
 	if err != nil {
@@ -89,7 +90,7 @@ func PrepareAlibi(relA, relB *constraint.Relation, t0, t1 float64, prepSeed uint
 	if len(fat.Tuples) == 0 {
 		return pa, nil
 	}
-	prep, err := Prepare(fat, prepSeed, opts)
+	prep, err := Prepare(fat, prepSeed, opts, fan)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: alibi meet-region preparation: %w", err)
 	}

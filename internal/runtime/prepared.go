@@ -30,9 +30,14 @@ type Prepared struct {
 // deterministic in (rel, prepSeed, opts). A per-call Interrupt hook in
 // opts is stripped: cancellation is a per-request concern and must
 // never be baked into geometry shared across requests.
-func Prepare(rel *constraint.Relation, prepSeed uint64, opts core.Options) (*Prepared, error) {
+//
+// fan spreads the relation's tuples and volume phases over idle CPUs
+// without changing a bit of the result (see core.Fanout); a Runtime
+// passes its own, bounded at Config.PoolSize slots, and nil prepares
+// one unit after another.
+func Prepare(rel *constraint.Relation, prepSeed uint64, opts core.Options, fan *core.Fanout) (*Prepared, error) {
 	opts.Interrupt = nil
-	p, err := core.PrepareRelation(rel, rng.New(prepSeed), opts)
+	p, err := core.PrepareRelationFanout(rel, rng.New(prepSeed), opts, fan)
 	if err != nil {
 		return nil, err
 	}

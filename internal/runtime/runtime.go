@@ -35,7 +35,9 @@ import (
 
 // Config tunes the runtime. The zero value picks sensible defaults.
 type Config struct {
-	// PoolSize is the sampling worker pool size (default GOMAXPROCS).
+	// PoolSize is the sampling worker pool size (default GOMAXPROCS). It
+	// also bounds how many preparation units — tuples and volume phases
+	// — run beside their callers at once.
 	PoolSize int
 	// CacheSize caps each prepared LRU — samplers and alibi preparations
 	// (default 64).
@@ -71,6 +73,12 @@ type Runtime struct {
 	pool     *Pool
 	exec     *Executor
 
+	// fan spreads every preparation's tuples and volume phases over
+	// goroutines of their own, at most PoolSize at once. They do not run
+	// on the pool: a d = 6 phase holds its thread for ~0.1 s, and no
+	// warm draw should queue behind it.
+	fan *core.Fanout
+
 	// costs is the observed per-key cost table: preparation time, walk
 	// effort and elimination effort attributed to the same canonical
 	// keys the caches use — the measured input of a cost-based planner.
@@ -103,6 +111,7 @@ func NewWithSink(cfg Config, sink obs.Sink) *Runtime {
 		symbolic: NewKindCache[*SymbolicEntry](cfg.CacheSize, obs.KindSymbolic, sink),
 		pool:     pool,
 		exec:     newExecutor(pool, sink, costs),
+		fan:      core.NewFanout(cfg.PoolSize),
 		costs:    costs,
 		quality:  qt,
 	}

@@ -138,3 +138,65 @@ func TestSharedGeometryConcurrentBinds(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentPreparationsShareFanout prepares four relations at once
+// on one runtime, whose fan-out their tuples and volume phases all
+// compete for, and requires each prepared geometry to equal a
+// sequential Prepare of the same relation and seed bit for bit. Run it
+// under -race.
+func TestConcurrentPreparationsShareFanout(t *testing.T) {
+	const program = `
+rel A(x, y) := { 0 <= x <= 2, 0 <= y <= 1 } | { 1 <= x <= 3, 0 <= y <= 2 };
+rel B(x, y, z) := { x >= 0, y >= 0, z >= 0, x + y + z <= 1 } | { 0 <= x <= 1, 0 <= y <= 1, 1 <= z <= 2 };
+rel C(x, y) := { x >= 0, y >= 0, x + 2*y <= 4 };
+rel D(x, y, z) := { -1 <= x <= 1, -1 <= y <= 1, -1 <= z <= 1, x + y + z <= 1 };
+`
+	opts := testOptions()
+	opts.MaxPhaseSamples = 200
+	rt := NewWithSink(Config{PoolSize: 2, CacheSize: 8}, nil)
+	t.Cleanup(rt.Close)
+	entry, _, err := rt.Registry().Register("fan", program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"A", "B", "C", "D"}
+	got := make([]*Prepared, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _, _, errs[i] = rt.PreparedFor(entry, name, "", opts)
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", name, errs[i])
+		}
+		cp, err := entry.Plan(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := cp.Relation("derived")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Prepare(rel, PrepSeedFor(PlanKey(entry.ID, cp.Key, opts.CacheKey())), opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gv, wv := got[i].MemberVolumes(), want.MemberVolumes()
+		for j := range wv {
+			if math.Float64bits(gv[j]) != math.Float64bits(wv[j]) {
+				t.Errorf("%s tuple %d: volume %v on the runtime, %v sequentially", name, j, gv[j], wv[j])
+			}
+		}
+		ga, _ := got[i].VolumeAccuracy()
+		wa, _ := want.VolumeAccuracy()
+		if ga != wa {
+			t.Errorf("%s: ledger %+v on the runtime, %+v sequentially", name, ga, wa)
+		}
+	}
+}

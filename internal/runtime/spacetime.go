@@ -96,7 +96,7 @@ func (rt *Runtime) PreparedSlice(e *DatabaseEntry, relName string, t0 float64, o
 			return nil, Negative(fmt.Errorf("%w: the slice of %q at t0=%g is a measure-zero set "+
 				"(t0 coincides with an observation time)", ErrEmptySlice, relName, t0))
 		}
-		return Prepare(slice, PrepSeedFor(key), opts)
+		return Prepare(slice, PrepSeedFor(key), opts, rt.fan)
 	})
 	return ps, key, hit, err
 }
@@ -122,7 +122,7 @@ func (rt *Runtime) PreparedWindow(e *DatabaseEntry, relName string, t0, t1 float
 		if len(win.Tuples) == 0 {
 			return nil, Negative(fmt.Errorf("%w: window [%g, %g], relation %q", ErrEmptySlice, t0, t1, relName))
 		}
-		return Prepare(win, PrepSeedFor(key), opts)
+		return Prepare(win, PrepSeedFor(key), opts, rt.fan)
 	})
 	return ps, key, hit, err
 }

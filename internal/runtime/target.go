@@ -132,7 +132,7 @@ func (rt *Runtime) buildFromPlan(cp *query.CanonicalPlan, key string, prepSeed *
 		seed = *prepSeed
 	}
 	start := time.Now()
-	ps, err := Prepare(rel, seed, opts)
+	ps, err := Prepare(rel, seed, opts, rt.fan)
 	if err == nil {
 		c := rt.costs.For(key)
 		c.Preps.Add(1)

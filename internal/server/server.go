@@ -35,7 +35,8 @@ import (
 
 // Config tunes the server. The zero value picks sensible defaults.
 type Config struct {
-	// PoolSize is the sampling worker pool size (default GOMAXPROCS).
+	// PoolSize is the sampling worker pool size (default GOMAXPROCS); it
+	// also bounds how many preparation units run in parallel.
 	PoolSize int
 	// CacheSize caps the prepared-sampler LRU (default 64).
 	CacheSize int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -11,7 +12,8 @@ import (
 // volume pass — run on goroutines of their own at once. A unit takes a
 // free slot, or runs on its caller's goroutine when none is free; the
 // last unit always runs on the caller's. A busy Fanout therefore falls
-// back to the sequential loop, and a nil *Fanout is that loop.
+// back to the sequential loop, and a nil *Fanout has no slots: every
+// unit runs on the caller, one after another.
 //
 // Its callers keep scheduling out of every result: each unit draws from
 // an RNG split up front in the sequential order, and the units' results
@@ -31,25 +33,17 @@ func NewFanout(width int) *Fanout {
 
 // each runs unit(0), …, unit(n-1) and returns the lowest failing index
 // with its error, or (n, nil) when every unit succeeds. Units below the
-// returned index ran to completion; units above it may not have run.
-// Under a non-nil Fanout, a panicking unit returns as that unit's error
-// (on a spawned goroutine it would otherwise kill the process), and no
-// further unit starts once one has failed.
+// returned index ran to completion; units above it may not have run, as
+// no further unit starts once one has failed. A panicking unit returns
+// as that unit's error, with the panicking goroutine's stack (on a
+// spawned goroutine it would otherwise kill the process).
 func (f *Fanout) each(n int, unit func(i int) error) (int, error) {
-	if f == nil {
-		for i := 0; i < n; i++ {
-			if err := unit(i); err != nil {
-				return i, err
-			}
-		}
-		return n, nil
-	}
 	errs := make([]error, n)
 	var failed atomic.Bool
 	run := func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("core: preparation unit %d of %d panicked: %v", i, n, r)
+				errs[i] = fmt.Errorf("core: preparation unit %d of %d panicked: %v\n%s", i, n, r, debug.Stack())
 			}
 			if errs[i] != nil {
 				failed.Store(true)
@@ -62,7 +56,7 @@ func (f *Fanout) each(n int, unit func(i int) error) (int, error) {
 	// started lies above the lowest failing index: its result would be
 	// discarded, and it is skipped.
 	for i := 0; i < n && !failed.Load(); i++ {
-		if i < n-1 && f.tryAcquire() {
+		if f != nil && i < n-1 && f.tryAcquire() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -91,9 +91,9 @@ func TestFanoutPreparationBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFanoutFirstErrorAndPanic checks that every width reports the
-// lowest failing unit, and that a panicking unit under a Fanout comes
-// back as that unit's error.
+// TestFanoutFirstErrorAndPanic checks that every width, nil included,
+// reports the lowest failing unit, and that a panicking unit comes back
+// as that unit's error with a stack naming the function that panicked.
 func TestFanoutFirstErrorAndPanic(t *testing.T) {
 	errA, errB := errors.New("unit 5"), errors.New("unit 6")
 	unit := func(i int) error {
@@ -105,23 +105,27 @@ func TestFanoutFirstErrorAndPanic(t *testing.T) {
 		}
 		return nil
 	}
-	for _, fan := range []*core.Fanout{nil, core.NewFanout(1), core.NewFanout(2), core.NewFanout(8)} {
+	fans := []*core.Fanout{nil, core.NewFanout(1), core.NewFanout(2), core.NewFanout(8)}
+	for _, fan := range fans {
 		if i, err := core.FanoutEach(fan, 8, unit); i != 5 || err != errA {
 			t.Errorf("each = (%d, %v), want (5, %v)", i, err, errA)
 		}
 		if i, err := core.FanoutEach(fan, 8, func(int) error { return nil }); i != 8 || err != nil {
 			t.Errorf("each = (%d, %v), want (8, nil)", i, err)
 		}
-	}
-	for _, w := range fanoutWidths {
-		i, err := core.FanoutEach(core.NewFanout(w), 4, func(i int) error {
-			if i == 1 {
-				panic("boom")
-			}
-			return nil
-		})
+		i, err := core.FanoutEach(fan, 4, panicOnUnit1)
 		if i != 1 || err == nil || !strings.Contains(err.Error(), "panicked: boom") {
-			t.Errorf("width %d: each = (%d, %v), want unit 1's panic as its error", w, i, err)
+			t.Errorf("each = (%d, %v), want unit 1's panic as its error", i, err)
+		} else if !strings.Contains(err.Error(), "core_test.panicOnUnit1(") {
+			t.Errorf("unit 1's panic error does not name panicOnUnit1:\n%v", err)
 		}
 	}
+}
+
+// panicOnUnit1 is a preparation unit that panics on unit 1.
+func panicOnUnit1(i int) error {
+	if i == 1 {
+		panic("boom")
+	}
+	return nil
 }

@@ -38,11 +38,6 @@ type PreparedRelation struct {
 // its volume (step 1 of Algorithm 1, normally repeated per generator).
 // All randomness is drawn from r, so a fixed preparation seed yields a
 // fixed prepared geometry.
-//
-// This mirrors NewRelationObservable in relation.go (same pruning,
-// per-tuple loop and error shape); the paths stay separate because the
-// cold path must not pay the eager volume pass and its RNG stream
-// consumption must remain reproducible. Mirror edits in both.
 func PrepareRelation(rel *constraint.Relation, r *rng.RNG, opts Options) (*PreparedRelation, error) {
 	return PrepareRelationFanout(rel, r, opts, nil)
 }
@@ -52,6 +47,14 @@ func PrepareRelation(rel *constraint.Relation, r *rng.RNG, opts Options) (*Prepa
 // Every tuple's RNG is split from r up front in tuple order and the
 // members are folded back in that order, so the prepared geometry is
 // bit-identical at any width.
+//
+// This mirrors NewRelationObservable in relation.go (same pruning,
+// per-tuple generators and error shape), except that it splits every
+// tuple's generator from r before preparing any tuple; NewConvexPolytope
+// never touches r, so both paths split r in the same order. The paths
+// stay separate because the cold path must not pay the eager volume
+// pass and its RNG stream consumption must remain reproducible. Mirror
+// edits in both.
 func PrepareRelationFanout(rel *constraint.Relation, r *rng.RNG, opts Options, fan *Fanout) (*PreparedRelation, error) {
 	if err := opts.params().validate(); err != nil {
 		return nil, err

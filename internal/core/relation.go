@@ -16,8 +16,9 @@ import (
 // "exponentially smaller relations can be considered empty" step is
 // realised by the LP emptiness check).
 //
-// PrepareRelation in prepared.go mirrors this setup for the cacheable
-// prepare/bind split; mirror edits in both.
+// PrepareRelationFanout in prepared.go mirrors this setup for the
+// cacheable prepare/bind split, splitting every tuple's generator from r
+// before it prepares any tuple; mirror edits in both.
 func NewRelationObservable(rel *constraint.Relation, r *rng.RNG, opts Options) (Observable, error) {
 	pruned := rel.PruneEmpty()
 	if len(pruned.Tuples) == 0 {

@@ -369,15 +369,16 @@ func (db *DB) CacheStats() CacheStats {
 // ObservedCosts returns the handle's per-key observed cost table,
 // sorted by key: preparation time, draw/bind/queue time, walk effort
 // and symbolic-elimination effort under the same canonical keys the
-// caches use (per-disjunct attribution under "key#i"). Empty until a
-// terminal verb has run.
+// caches use (per-disjunct attribution under "key#i"). It covers the
+// resident keys: an entry's costs leave the table when the entry is
+// evicted. Empty until a terminal verb has run.
 func (db *DB) ObservedCosts() []ObservedCost {
 	return db.rt.Costs().Each()
 }
 
-// ObservedCost returns the observed cost recorded under one canonical
-// cache key (as reported by Expr.Explain); ok is false when nothing has
-// been recorded.
+// ObservedCost returns the observed cost recorded under one resident
+// canonical cache key (as reported by Expr.Explain); ok is false when
+// nothing has been recorded or the key's entry has been evicted.
 func (db *DB) ObservedCost(key string) (ObservedCost, bool) {
 	return db.rt.Costs().Snapshot(key)
 }

@@ -312,6 +312,13 @@ func (c *Convex) Sample() (linalg.Vector, error) {
 // with K_i = Q(K) ∩ B(0, (1+1/d)^i) so each ratio lies in [1/e, 1], each
 // estimated by a Chernoff-bounded sampling pass. The original volume is
 // recovered through |det Q|.
+//
+// When Q(K) is a folded H-polytope and the configured walk is not the
+// grid walk, each pass walks K_i by hit-and-run along uniform coordinate
+// axes (walk.AxisWalker): a step is O(m) with no direction draw, and the
+// uniform distribution on K_i stays stationary. Membership-only bodies
+// and the grid walk keep their Walker over the intersection body. The
+// sampling walker keeps uniform directions.
 func (c *Convex) Volume() (float64, error) { return c.volume(nil) }
 
 // volume is Volume with the telescoping phases spread over fan.
@@ -413,19 +420,7 @@ func volBallClamped(d int, r float64) float64 {
 // the smaller ball. It only reads c, so phases may run concurrently; it
 // returns its probe walker's effort, even when the phase aborts.
 func (c *Convex) phaseRatio(rSmall, rBig float64, n int, r *rng.RNG) (float64, walk.Stats, error) {
-	d := c.body.Dim()
-	big := walk.IntersectionBody{Bodies: []walk.Body{
-		c.rounded.Body,
-		walk.BallBody{Center: make(linalg.Vector, d), Radius: rBig},
-	}}
-	cfg := walk.Config{Kind: walk.HitAndRun, OuterRadius: rBig, Interrupt: c.opts.Interrupt}
-	if c.opts.Walk == walk.GridWalk {
-		// Stay faithful to the configured walk for the phase sampling
-		// when explicitly requested; a finer grid keeps thin shells
-		// reachable.
-		cfg = walk.Config{Kind: walk.GridWalk, Grid: c.grid, OuterRadius: rBig, Interrupt: c.opts.Interrupt}
-	}
-	w, err := walk.New(big, make(linalg.Vector, d), r, cfg)
+	w, err := c.phaseWalker(rBig, r)
 	if err != nil {
 		return 0, walk.Stats{}, fmt.Errorf("core: phase walk: %w", err)
 	}
@@ -456,6 +451,37 @@ func (c *Convex) phaseRatio(rSmall, rBig float64, n int, r *rng.RNG) (float64, w
 		return math.Pow(rSmall/rBig, float64(c.body.Dim())), w.Stats(), nil
 	}
 	return float64(hits) / float64(n), w.Stats(), nil
+}
+
+// phaseWalk is the walk a volume phase samples K ∩ B(0, r) with.
+type phaseWalk interface {
+	Run(n int) linalg.Vector
+	Err() error
+	Stats() walk.Stats
+}
+
+// phaseWalker starts a phase's walk over K ∩ B(0, rBig) at the origin:
+// the coordinate kernel on a folded H-polytope (see Volume), otherwise
+// a Walker over the intersection body, the only walk that serves the
+// grid walk and membership-only bodies.
+func (c *Convex) phaseWalker(rBig float64, r *rng.RNG) (phaseWalk, error) {
+	start := make(linalg.Vector, c.body.Dim())
+	poly, folded := c.rounded.Body.(*polytope.Polytope)
+	if folded && c.opts.Walk != walk.GridWalk {
+		return walk.NewAxisWalker(poly, rBig, start, r, c.opts.Interrupt)
+	}
+	big := walk.IntersectionBody{Bodies: []walk.Body{
+		c.rounded.Body,
+		walk.BallBody{Center: make(linalg.Vector, len(start)), Radius: rBig},
+	}}
+	cfg := walk.Config{Kind: walk.HitAndRun, OuterRadius: rBig, Interrupt: c.opts.Interrupt}
+	if c.opts.Walk == walk.GridWalk {
+		// Stay faithful to the configured walk for the phase sampling
+		// when explicitly requested; a finer grid keeps thin shells
+		// reachable.
+		cfg = walk.Config{Kind: walk.GridWalk, Grid: c.grid, OuterRadius: rBig, Interrupt: c.opts.Interrupt}
+	}
+	return walk.New(big, start, r, cfg)
 }
 
 // AcceptanceRate exposes the walker's diagnostic acceptance rate.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -175,8 +176,10 @@ const overflowKey = "<overflow>"
 
 // Costs is a bounded concurrent table of per-key observed costs. Keys
 // are the canonical cache keys (plan, per-disjunct "key#i", symbolic,
-// alibi). Once capacity distinct keys exist, further keys share one
-// overflow entry.
+// alibi). The runtime calls Forget when a key's cache entry is evicted,
+// so the table holds resident keys; the capacity is a backstop for
+// observations recorded after their entry left. Once capacity distinct
+// keys exist, further keys share one overflow entry.
 type Costs struct {
 	mu  sync.RWMutex
 	cap int
@@ -220,6 +223,32 @@ func (t *Costs) For(key string) *Cost {
 	c = &Cost{}
 	t.m[key] = c
 	return c
+}
+
+// Forget drops the cells of key and of its per-disjunct "key#i" keys.
+func (t *Costs) Forget(key string) {
+	if t == nil {
+		return
+	}
+	prefix := key + "#"
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.m, key)
+	for k := range t.m {
+		if i, ok := strings.CutPrefix(k, prefix); ok && isIndex(i) {
+			delete(t.m, k)
+		}
+	}
+}
+
+// isIndex reports whether s is a non-empty run of decimal digits.
+func isIndex(s string) bool {
+	for _, r := range s {
+		if r < '0' || r > '9' {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // Snapshot returns the observed cost for key; ok is false when nothing

@@ -211,6 +211,26 @@ func TestCostsTable(t *testing.T) {
 	}
 }
 
+// TestCostsForget: Forget drops a key's cell and its "key#i" member
+// cells, and nothing else.
+func TestCostsForget(t *testing.T) {
+	tab := NewCosts(16)
+	for _, k := range []string{"k", "k#0", "k#12", "k#x", "k#", "k2", "k2#0", "j#0"} {
+		tab.For(k).Draws.Add(1)
+	}
+	tab.Forget("k")
+	var left []string
+	for _, c := range tab.Each() {
+		left = append(left, c.Key)
+	}
+	if got, want := strings.Join(left, " "), "j#0 k# k#x k2 k2#0"; got != want {
+		t.Fatalf("after Forget(k): %s, want %s", got, want)
+	}
+	tab.Forget("absent")
+	var nilTab *Costs
+	nilTab.Forget("k")
+}
+
 func TestCostsNilSafety(t *testing.T) {
 	var tab *Costs
 	cell := tab.For("x")

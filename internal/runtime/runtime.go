@@ -93,7 +93,9 @@ type Runtime struct {
 }
 
 // maxCostKeys bounds the observed-cost table (plan keys plus their
-// per-disjunct "key#i" sub-entries, symbolic and alibi keys).
+// per-disjunct "key#i" sub-entries, symbolic and alibi keys). Evictions
+// drop their keys' cells, so the table holds resident keys; the bound
+// catches only cells a draw records after its entry left.
 const maxCostKeys = 4096
 
 // NewWithSink builds a runtime whose events report through an obs.Sink
@@ -118,18 +120,20 @@ func NewWithSink(cfg Config, sink obs.Sink) *Runtime {
 	rt.exec.quality = qt
 	rt.auditor = newAuditor(rt, sink)
 	rt.cache.onEvict = rt.planEvicted
+	rt.symbolic.onEvict = func(key string, _ *SymbolicEntry) { rt.costs.Forget(key) }
+	rt.alibis.onEvict = func(key string, _ *PreparedAlibi) { rt.costs.Forget(key) }
 	return rt
 }
 
-// planEvicted drops an evicted plan's audit registration and quality
-// diagnostics, so the plan cache's capacity bounds the memory they keep
-// too. A draw still running on the evicted sampler may bind its key in
-// the tracker again; the tracker's own key cap bounds such leftovers.
-// The per-key cost table stays: it is capped on its own, and it is what
-// a cost-based planner reads about plans no longer resident.
+// planEvicted drops an evicted plan's audit registration, quality
+// diagnostics and observed costs, so the plan cache's capacity bounds
+// the memory they keep too. A draw still running on the evicted sampler
+// may bind its key in the tracker or the cost table again; their own
+// key caps bound such leftovers.
 func (rt *Runtime) planEvicted(key string, ps *Prepared) {
 	rt.auditor.forget(key, ps)
 	rt.quality.Forget(key)
+	rt.costs.Forget(key)
 }
 
 // Close stops the background auditor, then the worker pool after

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/linalg"
+	"repro/internal/polytope"
 	"repro/internal/rng"
 )
 
@@ -49,6 +50,28 @@ func TestStepAllocs(t *testing.T) {
 			if a := testing.AllocsPerRun(200, w.Step); a != 0 {
 				t.Errorf("%s/%s: %.2f allocations per Step, want 0", b.name, kind, a)
 			}
+		}
+	}
+}
+
+// TestAxisWalkerStepAllocs guards the coordinate kernel's step the same
+// way: a step over a folded thin slab ∩ ball and a folded cut cube ∩
+// ball allocates nothing.
+func TestAxisWalkerStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	fold := foldMap(t)
+	for name, poly := range map[string]*polytope.Polytope{
+		"folded-slab∩ball": foldedSlab(fold),
+		"folded-cut∩ball":  foldedCut(fold),
+	} {
+		w, err := NewAxisWalker(poly, 1, fold.T, rng.New(1), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if a := testing.AllocsPerRun(200, w.Step); a != 0 {
+			t.Errorf("%s: %.2f allocations per Step, want 0", name, a)
 		}
 	}
 }

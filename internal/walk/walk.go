@@ -26,6 +26,16 @@
 // recomputing A·x from the position, so rounding drift cannot build up.
 // Grid and ball walks test their proposals with Contains.
 //
+// Direction laws. A Walker's hit-and-run draws its direction uniformly
+// on the sphere: that is the only law a membership-only body can use,
+// and the samplers' draws stay on it. The grid walk moves along the axes
+// of its γ-grid, as the paper's walk does. AxisWalker, which runs the
+// volume phases over folded H-polytopes, draws a uniform coordinate axis
+// e_j instead: the rows' rates along e_j are column j of A and a ball's
+// chord along it is closed form, so a step needs no direction draw and
+// no m×d product. Both laws draw from the body's full conditional along
+// the chosen line, so both leave the uniform distribution stationary.
+//
 // Current and Run return the walker's position buffer, not a copy. It
 // holds the position until the next accepted step; after that the walker
 // reuses it for its proposals, so callers must clone it to keep it

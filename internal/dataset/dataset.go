@@ -191,3 +191,24 @@ func Zone(cx, cy, rad float64) constraint.Tuple {
 func HighDimPipeline(r *rng.RNG, e, d, cuts int) *polytope.Polytope {
 	return RandomPolytope(r, e+d, cuts, 0.9)
 }
+
+// TangentBall returns the 3-D polytope cut out by m planes tangent to
+// the unit ball at the points of a Fibonacci sphere: a near-ball whose
+// outer normals are spread evenly, so about m/2 of its rows bound x₂
+// from above and m/2 from below. Eliminating x₂ by Fourier–Motzkin pairs
+// every upper row with every lower one (~m²/4 atoms before pruning),
+// which makes it the standard input whose elimination blows up after a
+// single round.
+func TangentBall(m int) *polytope.Polytope {
+	golden := math.Pi * (3 - math.Sqrt(5))
+	rows := make([]linalg.Vector, m)
+	b := make([]float64, m)
+	for i := range rows {
+		z := 1 - (2*float64(i)+1)/float64(m)
+		rad := math.Sqrt(1 - z*z)
+		phi := golden * float64(i)
+		rows[i] = linalg.Vector{rad * math.Cos(phi), rad * math.Sin(phi), z}
+		b[i] = 1
+	}
+	return polytope.New(rows, b)
+}

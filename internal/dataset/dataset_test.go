@@ -161,3 +161,27 @@ func TestHighDimPipeline(t *testing.T) {
 		t.Error("pipeline polytope empty")
 	}
 }
+
+func TestTangentBall(t *testing.T) {
+	p := TangentBall(64)
+	vol, err := p.Volume()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Circumscribes the unit ball (4π/3 ≈ 4.19), within a few percent.
+	if vol < 4*math.Pi/3 || vol > 4.6 {
+		t.Fatalf("volume %g, want just above the unit ball's 4.19", vol)
+	}
+	up, lo := 0, 0
+	for _, a := range p.A {
+		switch {
+		case a[2] > 0:
+			up++
+		case a[2] < 0:
+			lo++
+		}
+	}
+	if up != 32 || lo != 32 {
+		t.Fatalf("%d upper and %d lower bounds on x2, want 32 and 32", up, lo)
+	}
+}

@@ -149,11 +149,13 @@ func TestPreCancelledCallsShortCircuit(t *testing.T) {
 	}
 }
 
-// TestQueryVolumeCancelledMidWalk: the projection-plan volume path (an
-// ∃-query has no prepared sampler) must also surface ctx.Err() from
-// inside its sampling loops.
+// TestQueryVolumeCancelledMidWalk: Algorithm 2's volume path (an
+// ∃-query past the elimination budget has no prepared sampler) must
+// also surface ctx.Err() from inside its sampling loops. An ∃-query
+// within the budget is served warm: its volume is the preparation-time
+// estimate of its eliminated relation and runs no walk at request time.
 func TestQueryVolumeCancelledMidWalk(t *testing.T) {
-	db, err := cdb.Open(slowProgram+"\nquery Q(x) := exists y. S(x, y);\n", slowOptions())
+	db, err := cdb.Open(slowProgram+"\nquery Q(x) := exists y. S(x, y);\n"+overBudgetProgram, slowOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +164,23 @@ func TestQueryVolumeCancelledMidWalk(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = db.QueryVolume(ctx, "Q")
+	_, err = db.QueryVolume(ctx, "Far")
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("QueryVolume error = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed > 20*time.Second {
 		t.Fatalf("cancellation took %v, want prompt abort", elapsed)
+	}
+
+	requireWarmProjection(t, db.Rel("Q"))
+	want, err := db.Rel("Q").Volume(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if v, err := db.QueryVolume(ctx, "Q"); err != nil || v != want {
+		t.Fatalf("warm QueryVolume(Q) = %v, %v; want %v from the prepared entry", v, err, want)
 	}
 }

@@ -38,12 +38,15 @@ const (
 // ErrClosed reports a call on a closed DB handle.
 var ErrClosed = errors.New("cdb: database handle is closed")
 
-// ErrNeedsProjection reports a query whose sampling plan requires the
-// projection generator (Algorithm 2) and therefore has no cacheable
-// prepared sampler. DB.Sampler and Expr.Sampler return it; the other
-// sampling terminals (SampleN, Samples, Volume, Reconstruct, Query,
-// QueryVolume) run such plans on Algorithm 2's per-call projection
-// generator inside the plan executor instead.
+// ErrNeedsProjection reports an ∃ plan whose Fourier–Motzkin
+// elimination would exceed the runtime's atom budget, so it has no
+// cacheable prepared sampler. An ∃ plan within the budget is eliminated
+// once and its quantifier-free result prepared under the plan's key,
+// like any relation. DB.Sampler and Expr.Sampler return ErrNeedsProjection
+// for plans past the budget; the other sampling terminals (SampleN,
+// Samples, Volume, Reconstruct, Query, QueryVolume) run those plans on
+// Algorithm 2's per-call projection generator inside the plan executor
+// instead.
 var ErrNeedsProjection = runtime.ErrNeedsProjection
 
 // dbConfig collects the functional options of Open/OpenDatabase.
@@ -161,13 +164,15 @@ func (db *DB) callOpts(copts []CallOption) Options {
 type CacheKindStats struct {
 	// Hits counts warm positive entries served (including joins of an
 	// in-flight build); NegativeHits counts replayed cached verdicts
-	// (empty targets, projection-needing plans, out-of-support slices).
+	// (empty targets, ∃ plans past the elimination budget,
+	// out-of-support slices).
 	Hits, NegativeHits int64
 	// Misses counts cold builds; Evictions LRU evictions.
 	Misses, Evictions int64
 	// Entries and NegativeEntries are the cache's CURRENT residency:
 	// settled entries in total and how many of them are negative
-	// verdicts.
+	// verdicts. An ∃ plan within the elimination budget counts as a
+	// positive entry; one past it, as a negative.
 	Entries, NegativeEntries int
 }
 
@@ -434,8 +439,8 @@ func (db *DB) SampleN(ctx context.Context, name string, n int, copts ...CallOpti
 // deterministic in (program, target, options, n, workers, seed), and
 // byte-identical concurrent draws are coalesced into a single
 // execution. It returns exactly what db.Rel(name).SampleNSeeded
-// returns; projection-needing queries (no cacheable sampler) run
-// sequentially on a per-call engine instead of the pool.
+// returns; ∃ queries past the elimination budget (no cacheable sampler)
+// run sequentially on a per-call engine instead of the pool.
 func (db *DB) SampleNSeeded(ctx context.Context, name string, n int, seed uint64, copts ...CallOption) ([]Vector, error) {
 	return db.named(name, copts).SampleNSeeded(ctx, n, seed)
 }
@@ -460,8 +465,8 @@ func (db *DB) Samples(ctx context.Context, name string, copts ...CallOption) ite
 // Volume returns the (ε, δ)-relative volume estimate of the named
 // relation or query — exactly db.Rel(name).Volume. Single-tuple
 // relations surface the preparation-time estimate directly (no walker
-// is bound); unions run the Karp–Luby acceptance pass, and
-// projection-needing queries a per-call engine, under a seed derived
+// is bound); unions run the Karp–Luby acceptance pass, and ∃ queries
+// past the elimination budget a per-call engine, under a seed derived
 // from the cache key, so the result is deterministic per
 // (program, target, options). A provably empty (or measure-zero)
 // target returns 0; replays serve the cached verdict in O(1).

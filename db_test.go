@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	cdb "repro"
+	"repro/internal/constraint"
+	"repro/internal/dataset"
 )
 
 const handleProgram = `
@@ -15,6 +17,44 @@ rel S(x, y) := { x >= 0, y >= 0, x + y <= 1 };
 rel U(x, y) := { 0 <= x <= 1, 0 <= y <= 1 } | { 2 <= x <= 3, 0 <= y <= 1 };
 query Q(x)  := exists y. S(x, y);
 `
+
+// overBudgetProgram declares Ball, 40 planes tangent to the unit ball,
+// and Far := ∃z Ball. Eliminating z pairs 20 upper with 20 lower bounds, 400
+// atoms before pruning, past the elimination budget, so Far runs on
+// Algorithm 2's per-call engine while Q := ∃y S is served warm.
+var overBudgetProgram = "\n" + constraint.MustRelation("Ball", []string{"x", "y", "z"},
+	dataset.TangentBall(40).Tuple()).Source() + "\nquery Far(x, y) := exists z. Ball(x, y, z);\n"
+
+// requireWarmProjection asserts that the ∃ expression e is served warm:
+// a prepared entry under its plan key whose seeded draws lie in the
+// exact Fourier–Motzkin elimination of e.
+func requireWarmProjection(t *testing.T, e *cdb.Expr) {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := e.Sampler(ctx); err != nil {
+		t.Fatalf("Sampler on a within-budget ∃ plan = %v, want a warm entry", err)
+	}
+	rep, err := e.Explain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.NeedsProjection || rep.Cache != "hit" {
+		t.Fatalf("∃ plan: NeedsProjection %v, cache %q under %q; want a warm entry", rep.NeedsProjection, rep.Cache, rep.CacheKey)
+	}
+	exact, err := e.EvalSymbolic(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := e.SampleNSeeded(ctx, 64, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if !exact.Contains(p) {
+			t.Fatalf("warm ∃ draw %v outside the eliminated relation %v", p, exact)
+		}
+	}
+}
 
 func TestOpenSampleVolume(t *testing.T) {
 	db, err := cdb.Open(handleProgram)
@@ -67,7 +107,7 @@ func TestOpenSampleVolume(t *testing.T) {
 }
 
 func TestDBQuerySurface(t *testing.T) {
-	db, err := cdb.Open(handleProgram)
+	db, err := cdb.Open(handleProgram + overBudgetProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,20 +139,30 @@ func TestDBQuerySurface(t *testing.T) {
 		t.Fatal("unknown query should error")
 	}
 
-	// SampleN and Volume fall back to the engine for projection-needing
-	// queries (no cacheable prepared sampler exists for them).
-	pts, err := db.SampleN(ctx, "Q", 5)
+	// Past the elimination budget, SampleN and Volume fall back to the
+	// engine (no prepared sampler exists for the plan).
+	pts, err := db.SampleN(ctx, "Far", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 5 {
 		t.Fatalf("got %d query samples, want 5", len(pts))
 	}
-	if _, err := db.Sampler(ctx, "Q"); !errors.Is(err, cdb.ErrNeedsProjection) {
-		t.Fatalf("Sampler(Q) = %v, want ErrNeedsProjection", err)
+	if _, err := db.Sampler(ctx, "Far"); !errors.Is(err, cdb.ErrNeedsProjection) {
+		t.Fatalf("Sampler(Far) = %v, want ErrNeedsProjection", err)
+	}
+	if _, err := db.Volume(ctx, "Far"); err != nil {
+		t.Fatalf("Volume(Far) fallback: %v", err)
+	}
+
+	// Within it, Q is served warm from its eliminated relation.
+	requireWarmProjection(t, db.Rel("Q"))
+	pts, err = db.SampleN(ctx, "Q", 5)
+	if err != nil || len(pts) != 5 {
+		t.Fatalf("SampleN(Q): %d points, %v", len(pts), err)
 	}
 	if _, err := db.Volume(ctx, "Q"); err != nil {
-		t.Fatalf("Volume(Q) fallback: %v", err)
+		t.Fatalf("Volume(Q): %v", err)
 	}
 }
 

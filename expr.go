@@ -126,8 +126,9 @@ func (e *Expr) Minus(o *Expr) *Expr {
 }
 
 // Project keeps the named columns in the given order, existentially
-// projecting the rest away (Algorithm 2's projection generator when the
-// dropped columns are constrained).
+// projecting the rest away. The executor eliminates the dropped
+// columns by Fourier–Motzkin and serves the result warm, or, past its
+// atom budget, runs Algorithm 2's projection generator per call.
 func (e *Expr) Project(vars ...string) *Expr {
 	return e.derive(e.node.Project(vars...), nil)
 }
@@ -279,10 +280,12 @@ func (e *Expr) exec(ctx context.Context) (*runtime.Exec, error) {
 
 // Sampler returns the prepared (warm) sampler for the expression —
 // rounding, well-boundedness witnesses and per-tuple volume estimates
-// computed once and cached under the canonical plan key. Expressions
-// needing the projection generator return ErrNeedsProjection (SampleN,
-// Samples and Volume run them on a per-call engine); provably empty
-// expressions return ErrEmptyExpr.
+// computed once and cached under the canonical plan key. An ∃
+// expression's sampler is prepared from its Fourier–Motzkin
+// elimination under the same key; past the elimination budget it
+// returns ErrNeedsProjection (SampleN, Samples and Volume run such
+// expressions on a per-call engine). Provably empty expressions return
+// ErrEmptyExpr.
 func (e *Expr) Sampler(ctx context.Context) (*PreparedSampler, error) {
 	x, err := e.exec(ctx)
 	if err != nil {
@@ -301,8 +304,9 @@ func (e *Expr) SampleN(ctx context.Context, n int) ([]Vector, error) {
 
 // SampleNSeeded is SampleN with an explicit base seed: deterministic in
 // (program, expression, options, n, workers, seed); byte-identical
-// concurrent draws coalesce. Projection-needing expressions run
-// sequentially on a per-call engine.
+// concurrent draws coalesce. ∃ expressions within the elimination
+// budget draw from their warm eliminated relation like any other; past
+// it they run sequentially on a per-call engine.
 func (e *Expr) SampleNSeeded(ctx context.Context, n int, seed uint64) ([]Vector, error) {
 	ctx, span := obs.Start(ctx, "expr.sample")
 	defer span.End()
@@ -350,8 +354,9 @@ func (e *Expr) Samples(ctx context.Context) iter.Seq2[Vector, error] {
 // Volume returns the (ε, δ)-relative volume estimate of the expression
 // from the warm geometry, deterministic per (program, expression,
 // options). A provably empty expression returns 0 — on replay an O(1)
-// cached verdict, no geometry touched. Projection-needing expressions
-// run on a per-call engine under a key-derived seed.
+// cached verdict, no geometry touched. An ∃ expression within the
+// elimination budget is estimated from its warm eliminated relation;
+// past it, on a per-call engine under a key-derived seed.
 func (e *Expr) Volume(ctx context.Context) (float64, error) {
 	ctx, span := obs.Start(ctx, "expr.volume")
 	defer span.End()

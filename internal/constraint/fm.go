@@ -85,6 +85,30 @@ func Eliminate(r *Relation, j int, opts EliminateOptions) *Relation {
 	return out
 }
 
+// EliminationSize predicts the atoms Eliminate(r, j, ·) produces before
+// deduplication and pruning: per tuple, the atoms free of column j plus
+// one per pair of an upper and a lower bound on it. It costs one pass
+// over the coefficients, so a caller can refuse a round before paying
+// for it.
+func EliminationSize(r *Relation, j int) int {
+	n := 0
+	for _, t := range r.Tuples {
+		var uppers, lowers, rest int
+		for _, a := range t.Atoms {
+			switch {
+			case a.Coef[j] > num.Eps:
+				uppers++
+			case a.Coef[j] < -num.Eps:
+				lowers++
+			default:
+				rest++
+			}
+		}
+		n += rest + uppers*lowers
+	}
+	return n
+}
+
 // EliminateAll projects out the columns js (indices into r's columns),
 // returning the relation over the remaining columns in their original
 // order. Duplicate indices are folded (∃x ∃x ≡ ∃x); an out-of-range

@@ -238,6 +238,36 @@ func TestEliminationGrowthWithoutPruning(t *testing.T) {
 	}
 }
 
+// TestEliminationSizeBoundsRawRound: the predicted size of a round is
+// the pairing count before deduplication, so raw elimination never
+// produces more atoms, and on the triangle it is exact (one atom free
+// of y plus one upper-lower pair).
+func TestEliminationSizeBoundsRawRound(t *testing.T) {
+	tri := MustRelation("T", []string{"x", "y"}, Simplex(2, 1))
+	if got := EliminationSize(tri, 1); got != 2 {
+		t.Fatalf("triangle: predicted %d atoms, want 2", got)
+	}
+	r := rng.New(5)
+	for trial := 0; trial < 20; trial++ {
+		atoms := append([]Atom{}, Cube(3, -1, 1).Atoms...)
+		for k := 0; k < 8; k++ {
+			coef := linalg.Vector{r.Normal(), r.Normal(), r.Normal()}
+			atoms = append(atoms, NewAtom(coef, r.Uniform(0.5, 1.5), false))
+		}
+		rel := MustRelation("G", []string{"a", "b", "c"}, NewTuple(3, atoms...))
+		for j := 0; j < 3; j++ {
+			raw := Eliminate(rel, j, EliminateOptions{SkipPruning: true})
+			got := 0
+			for _, tp := range raw.Tuples {
+				got += len(tp.Atoms)
+			}
+			if pred := EliminationSize(rel, j); got > pred {
+				t.Fatalf("trial %d column %d: %d raw atoms, predicted at most %d", trial, j, got, pred)
+			}
+		}
+	}
+}
+
 // TestRemoveRedundantKeepsStrictness: a strict atom whose bound is
 // attained by the non-strict survivors must not be silently deleted —
 // that would close an open boundary. The strictness either survives on

@@ -301,8 +301,10 @@ func renderFloat(v float64) string {
 func (cp *CanonicalPlan) Empty() bool { return len(cp.Plan.Disjuncts) == 0 }
 
 // NeedsProjection reports whether any disjunct carries existential
-// coordinates — such plans need Algorithm 2's projection generator and
-// cannot be served from the prepared-sampler cache.
+// coordinates. Such a plan has no derived relation of its own (see
+// Relation): the runtime eliminates the coordinates (EliminateWithin)
+// and prepares the result, or, past its atom budget, runs Algorithm 2's
+// projection generator per call.
 func (cp *CanonicalPlan) NeedsProjection() bool {
 	for _, d := range cp.Plan.Disjuncts {
 		if d.ExVars > 0 {

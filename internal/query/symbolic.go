@@ -121,7 +121,7 @@ func (sq *SymbolicQuery) EvalCtxStats(ctx context.Context) (*constraint.Relation
 	}
 	var st ElimStats
 	if sq.cp != nil {
-		rel, err := sq.cp.evalSymbolic("derived", interrupt, &st)
+		rel, err := sq.cp.evalSymbolic("derived", 0, interrupt, &st)
 		return rel, st, err
 	}
 	rel, err := constraint.CompileInterruptible(sq.f, sq.schema, sq.OutVars, interrupt)
@@ -178,10 +178,28 @@ func formulaKey(f constraint.Formula, outVars []string) string {
 // counterpart of the projection generator — and the exact answer the
 // sampling evaluation is measured against.
 func (cp *CanonicalPlan) EvalSymbolic(name string) (*constraint.Relation, error) {
-	return cp.evalSymbolic(name, nil, nil)
+	return cp.evalSymbolic(name, 0, nil, nil)
 }
 
-func (cp *CanonicalPlan) evalSymbolic(name string, interrupt func() error, st *ElimStats) (*constraint.Relation, error) {
+// ErrElimBudget marks a plan whose Fourier–Motzkin elimination would
+// produce a round larger than the caller's atom budget.
+var ErrElimBudget = errors.New("query: elimination exceeds its atom budget")
+
+// EliminateWithin is EvalSymbolic under an atom budget: before each
+// Fourier–Motzkin round it predicts the round's atoms before pruning
+// (constraint.EliminationSize: rest + uppers × lowers) and returns
+// ErrElimBudget, without running that round, when the prediction
+// exceeds budget. Within the budget it returns EvalSymbolic's relation,
+// atom for atom. interrupt, when non-nil, is polled between rounds; st,
+// when non-nil, receives the elimination effort (the refusing disjunct
+// included, with the rounds it ran).
+func (cp *CanonicalPlan) EliminateWithin(name string, budget int, interrupt func() error, st *ElimStats) (*constraint.Relation, error) {
+	return cp.evalSymbolic(name, budget, interrupt, st)
+}
+
+// evalSymbolic eliminates every disjunct's existential coordinates;
+// budget > 0 bounds each round's predicted atoms (see EliminateWithin).
+func (cp *CanonicalPlan) evalSymbolic(name string, budget int, interrupt func() error, st *ElimStats) (*constraint.Relation, error) {
 	keep := len(cp.Plan.OutVars)
 	out := &constraint.Relation{Name: name, Vars: append([]string(nil), cp.Plan.OutVars...)}
 	for i, d := range cp.Plan.Disjuncts {
@@ -209,6 +227,12 @@ func (cp *CanonicalPlan) evalSymbolic(name string, interrupt func() error, st *E
 			if interrupt != nil {
 				if err := interrupt(); err != nil {
 					return nil, err
+				}
+			}
+			if budget > 0 {
+				if n := constraint.EliminationSize(proj, j); n > budget {
+					recordDisjunct(st, de)
+					return nil, fmt.Errorf("%w: disjunct %d round %d predicts %d atoms, budget %d", ErrElimBudget, i, de.Rounds+1, n, budget)
 				}
 			}
 			proj = constraint.Eliminate(proj, j, constraint.EliminateOptions{})

@@ -1,12 +1,17 @@
 package query
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/constraint"
+	"repro/internal/dataset"
 	"repro/internal/linalg"
+	"repro/internal/polytope"
+	"repro/internal/rng"
 )
 
 // TestTimeSliceOverflowEmpty: a slice time large enough to overflow the
@@ -207,6 +212,88 @@ func TestCanonicalPlanEvalSymbolic(t *testing.T) {
 		if rel.Contains(linalg.Vector{c.x}) != c.in {
 			t.Errorf("πx(S) at x=%g: contains = %v, want %v", c.x, !c.in, c.in)
 		}
+	}
+}
+
+// shapePlan returns the canonical plan of ∃ over every column of poly
+// past the first two.
+func shapePlan(t *testing.T, poly *polytope.Polytope) *CanonicalPlan {
+	t.Helper()
+	vars := make([]string, poly.Dim())
+	for i := range vars {
+		vars[i] = fmt.Sprintf("x%d", i)
+	}
+	rel := constraint.MustRelation("R", vars, poly.Tuple())
+	db := &constraint.Database{Names: []string{"R"}, Schema: constraint.Schema{"R": rel}}
+	plan, err := NewRel("R").Project("x0", "x1").Compile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Canonicalize(plan)
+}
+
+// TestEliminateWithinBudget: within its atom budget the budgeted
+// elimination returns EvalSymbolic's relation atom for atom, so a warm
+// entry prepared from it and an oracle built by EvalSymbolic agree; a
+// round predicted past the budget is refused before it runs.
+func TestEliminateWithinBudget(t *testing.T) {
+	// perfbench's d = 4 shape, two coordinates eliminated.
+	cp := shapePlan(t, dataset.RandomPolytope(rng.New(20001016+404), 4, 4, 0.8))
+	want, err := cp.EvalSymbolic("derived")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ElimStats
+	got, err := cp.EliminateWithin("derived", 256, nil, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rounds != 2 || st.AtomsOut == 0 {
+		t.Fatalf("stats %+v, want two rounds", st)
+	}
+	if got.Arity() != want.Arity() || len(got.Tuples) != len(want.Tuples) {
+		t.Fatalf("relation %v, want %v", got, want)
+	}
+	for i, gt := range got.Tuples {
+		wt := want.Tuples[i]
+		if len(gt.Atoms) != len(wt.Atoms) {
+			t.Fatalf("tuple %d: %d atoms, want %d", i, len(gt.Atoms), len(wt.Atoms))
+		}
+		for j, a := range gt.Atoms {
+			b := wt.Atoms[j]
+			same := a.Strict == b.Strict && math.Float64bits(a.B) == math.Float64bits(b.B)
+			for k := range a.Coef {
+				same = same && math.Float64bits(a.Coef[k]) == math.Float64bits(b.Coef[k])
+			}
+			if !same {
+				t.Fatalf("tuple %d atom %d = %v, want %v", i, j, a, b)
+			}
+		}
+	}
+
+	// perfbench's d = 6 shape predicts 26 atoms in its first round and
+	// 68 in its second: under a budget of 30 the first runs and the
+	// second is refused.
+	cp = shapePlan(t, dataset.RandomPolytope(rng.New(20001016+606), 6, 6, 0.8))
+	st = ElimStats{}
+	polls := 0
+	_, err = cp.EliminateWithin("derived", 30, func() error { polls++; return nil }, &st)
+	if !errors.Is(err, ErrElimBudget) {
+		t.Fatalf("err = %v, want ErrElimBudget", err)
+	}
+	if st.Rounds != 1 || polls != 2 || st.AtomsOut != 0 {
+		t.Fatalf("stats %+v after %d polls, want one round run and the second refused", st, polls)
+	}
+
+	// A 40-plane tangent ball pairs 20 upper with 20 lower bounds on x2:
+	// its only round predicts 400 atoms and never runs.
+	cp = shapePlan(t, dataset.TangentBall(40))
+	st = ElimStats{}
+	if _, err := cp.EliminateWithin("derived", 256, nil, &st); !errors.Is(err, ErrElimBudget) {
+		t.Fatalf("err = %v, want ErrElimBudget", err)
+	}
+	if st.Rounds != 0 || st.AtomsIn != 40 {
+		t.Fatalf("stats %+v, want no round run over 40 atoms", st)
 	}
 }
 

@@ -15,8 +15,9 @@
 //
 // Every surface reaches them the same way: DatabaseEntry.Plan resolves
 // a relation or query name to its canonical plan, and Exec runs a
-// canonical plan — sampling, streaming, measuring — from warm geometry,
-// a cached empty verdict, or Algorithm 2's per-call projection engine.
+// canonical plan — sampling, streaming, measuring — from warm geometry
+// (∃ plans eliminated first, within an atom budget), a cached empty
+// verdict, or Algorithm 2's per-call projection engine.
 //
 // The paper's pipeline — prepare a (γ, ε, δ)-generator once, then draw
 // cheap almost-uniform samples and volume estimates from it — is a

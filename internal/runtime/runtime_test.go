@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/constraint"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/walk"
 )
@@ -310,9 +311,17 @@ func TestNegativeReplayAtCapacity(t *testing.T) {
 	}
 }
 
+// overBudgetProgram declares Ball, 40 planes tangent to the unit ball,
+// and Far := ∃z Ball: eliminating z predicts 20 × 20 = 400 atoms, past
+// elimAtomBudget.
+var overBudgetProgram = "\n" + constraint.MustRelation("Ball", []string{"x", "y", "z"},
+	dataset.TangentBall(40).Tuple()).Source() + "\nquery Far(x, y) := exists z. Ball(x, y, z);\n"
+
 // TestProjectionVerdictNegativeCached: the "needs the projection
-// generator" verdict on an ∃-query is deterministic in the program, so
-// it is cached negatively — replays skip the planning pass.
+// generator" verdict on an ∃-query past the elimination budget is
+// deterministic in the program, so it is cached negatively — replays
+// skip the planning pass. An ∃-query within the budget is prepared
+// from its eliminated relation under the same plan key.
 func TestProjectionVerdictNegativeCached(t *testing.T) {
 	sink := newRecordingSink()
 	rt := NewWithSink(Config{PoolSize: 1, CacheSize: 4}, sink)
@@ -320,22 +329,53 @@ func TestProjectionVerdictNegativeCached(t *testing.T) {
 	entry, _, err := rt.Registry().Register("q", `
 rel S(x, y) := { x >= 0, y >= 0, x + y <= 1 };
 query Q(x)  := exists y. S(x, y);
-`)
+`+overBudgetProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := testOptions()
 
-	_, _, hit, err := rt.PreparedFor(entry, "", "Q", opts)
+	_, _, hit, err := rt.PreparedFor(entry, "", "Far", opts)
 	if !errors.Is(err, ErrNeedsProjection) || hit {
 		t.Fatalf("cold ∃-query: hit=%v err=%v", hit, err)
 	}
 	misses := sink.count(obs.KindPlan, obs.Miss)
-	_, _, hit, err = rt.PreparedFor(entry, "", "Q", opts)
+	_, _, hit, err = rt.PreparedFor(entry, "", "Far", opts)
 	if !errors.Is(err, ErrNeedsProjection) || !hit {
 		t.Fatalf("replayed ∃-query verdict should hit the cache: hit=%v err=%v", hit, err)
 	}
 	if sink.count(obs.KindPlan, obs.Miss) != misses {
 		t.Fatal("replay re-ran the planning pass")
+	}
+
+	cp, err := entry.Plan("Q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := rt.Exec(entry, cp, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Sampler(); err != nil || x.Hit {
+		t.Fatalf("cold within-budget ∃-query: hit=%v err=%v, want a prepared entry", x.Hit, err)
+	}
+	if want := PlanKey(entry.ID, cp.Key, opts.CacheKey()); x.Key != want {
+		t.Fatalf("∃-query prepared under %q, want its plan key %q", x.Key, want)
+	}
+	if _, _, hit, err := rt.PreparedFor(entry, "", "Q", opts); err != nil || !hit {
+		t.Fatalf("replayed ∃-query should hit its warm entry: hit=%v err=%v", hit, err)
+	}
+	exact, err := cp.EvalSymbolic("exact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, _, err := x.SampleN(context.Background(), 64, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if !exact.Contains(p) {
+			t.Fatalf("warm ∃ draw %v outside the eliminated relation %v", p, exact)
+		}
 	}
 }

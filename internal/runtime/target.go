@@ -6,15 +6,18 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/query"
 	"repro/internal/reconstruct"
 )
 
-// ErrNeedsProjection marks a query whose sampling plan requires the
-// projection generator (Algorithm 2) and therefore cannot be served
-// from the prepared-sampler cache.
+// ErrNeedsProjection marks an ∃ plan whose Fourier–Motzkin elimination
+// exceeds elimAtomBudget: it cannot be served from the prepared-sampler
+// cache and runs on Algorithm 2's per-call projection generator
+// instead. ∃ plans within the budget are prepared from their
+// eliminated relation.
 var ErrNeedsProjection = errors.New("query needs the projection generator")
 
 // ErrTargetNotFound marks a relation or query name absent from its
@@ -94,8 +97,9 @@ func PlanKey(dbID, canonKey, optsKey string) string {
 // PreparedPlan returns the cached prepared sampler for a canonical
 // plan. The key is the plan's canonical hash, so structurally equal
 // expressions and name-addressed targets with the same geometry share
-// the entry. Provably empty plans cache as Negative(ErrEmptyExpr);
-// plans needing the projection generator cache as
+// the entry. An ∃ plan's entry is its Fourier–Motzkin elimination,
+// prepared. Provably empty plans cache as Negative(ErrEmptyExpr); ∃
+// plans past the elimination budget cache as
 // Negative(ErrNeedsProjection) — both O(1) on replay.
 func (rt *Runtime) PreparedPlan(e *DatabaseEntry, cp *query.CanonicalPlan, opts core.Options) (*Prepared, string, bool, error) {
 	return rt.preparedPlan(e, cp, opts, nil)
@@ -109,24 +113,70 @@ func (rt *Runtime) preparedPlan(e *DatabaseEntry, cp *query.CanonicalPlan, opts 
 	return ps, key, hit, err
 }
 
-// buildFromPlan is the cold-build closure body: empty and
-// projection-needing plans become cached verdicts, everything else
-// materialises as a derived relation and pays the preparation pass.
-// The cached verdicts carry no target name — the entry is shared by
-// every structurally equal target, whatever it was called. The
-// preparation time (rounding + volume passes) lands in the cost table
-// under the prepared key.
+// elimAtomBudget bounds each Fourier–Motzkin round buildFromPlan runs
+// to serve an ∃ plan warm, in the atoms the round predicts before
+// pruning (rest + uppers × lowers). It is the constraint package's
+// redundancy-pruning limit, so every admitted round is pruned: a round
+// predicting 256 atoms over a 32-plane tangent ball prunes to 22 in
+// ~50 ms, while one predicting 289 (34 planes) would keep all 289 for
+// every warm draw to walk. perfbench's shapes peak at 69 predicted
+// atoms (∃x2..x5 of the d = 6 shape) and experiment E9's pipelines at
+// 198 (k = 4 eliminated). The budget reads atom counts only, never a
+// clock, so every node and every surface decides the same way.
+const elimAtomBudget = 256
+
+// buildFromPlan is the cold-build closure body: empty plans and ∃ plans
+// past the elimination budget become cached verdicts; everything else
+// materialises as a derived relation and pays the preparation pass. The
+// cached verdicts carry no target name — the entry is shared by every
+// structurally equal target, whatever it was called.
 func (rt *Runtime) buildFromPlan(cp *query.CanonicalPlan, key string, prepSeed *uint64, opts core.Options) (*Prepared, error) {
 	if cp.Empty() {
 		return nil, Negative(ErrEmptyExpr)
 	}
 	if cp.NeedsProjection() {
-		return nil, Negative(ErrNeedsProjection)
+		return rt.buildEliminated(cp, key, prepSeed, opts)
 	}
 	rel, err := cp.Relation("derived")
 	if err != nil {
 		return nil, err
 	}
+	return rt.prepareDerived(rel, key, prepSeed, opts)
+}
+
+// buildEliminated serves an ∃ plan from its Fourier–Motzkin elimination
+// (the symbolic baseline's CanonicalPlan.EliminateWithin under
+// elimAtomBudget, polling opts.Interrupt between rounds) prepared under
+// the plan's own key. A plan past the budget caches
+// Negative(ErrNeedsProjection) and runs Algorithm 2 per call. The
+// elimination effort lands in the cost table under the key whenever
+// the build leaves an entry.
+func (rt *Runtime) buildEliminated(cp *query.CanonicalPlan, key string, prepSeed *uint64, opts core.Options) (*Prepared, error) {
+	var st query.ElimStats
+	start := time.Now()
+	rel, err := cp.EliminateWithin("derived", elimAtomBudget, opts.Interrupt, &st)
+	elapsed := time.Since(start).Nanoseconds()
+	switch {
+	case errors.Is(err, query.ErrElimBudget):
+		rt.recordElim(key, elapsed, st, nil)
+		return nil, Negative(ErrNeedsProjection)
+	case err != nil:
+		return nil, err
+	case len(rel.Tuples) == 0:
+		rt.recordElim(key, elapsed, st, nil)
+		return nil, Negative(ErrEmptyExpr)
+	}
+	ps, err := rt.prepareDerived(rel, key, prepSeed, opts)
+	if err == nil {
+		rt.recordElim(key, elapsed, st, nil)
+	}
+	return ps, err
+}
+
+// prepareDerived prepares a plan's quantifier-free relation under its
+// key. The preparation time (rounding + volume passes) lands in the
+// cost table under the key.
+func (rt *Runtime) prepareDerived(rel *constraint.Relation, key string, prepSeed *uint64, opts core.Options) (*Prepared, error) {
 	seed := PrepSeedFor(key)
 	if prepSeed != nil {
 		seed = *prepSeed
@@ -149,10 +199,11 @@ func (rt *Runtime) buildFromPlan(cp *query.CanonicalPlan, key string, prepSeed *
 // Exec is the plan executor: one canonical plan of a registered
 // program resolved against the prepared cache under sampling options.
 // It is the one place that decides how a plan runs — from a warm
-// prepared sampler, as the cached empty verdict (volume 0, no points),
-// or, for plans needing Algorithm 2's projection generator, on a
-// per-call query engine — so every surface samples, streams, measures
-// and reconstructs a plan the same way: the cdb facade (Expr terminals
+// prepared sampler (an ∃ plan's is prepared from its Fourier–Motzkin
+// elimination), as the cached empty verdict (volume 0, no points), or,
+// for ∃ plans past the elimination budget, on Algorithm 2's per-call
+// query engine — so every surface samples, streams, measures and
+// reconstructs a plan the same way: the cdb facade (Expr terminals
 // and the named DB methods, DB.Query and DB.QueryVolume included),
 // ExecSQL, and the HTTP endpoints /v1/sample, /v1/volume, /v1/query,
 // /v1/reconstruct, /v1/expr and /v1/sql.
@@ -173,7 +224,8 @@ type Exec struct {
 }
 
 // Exec resolves cp against the prepared cache, building its sampler —
-// or caching its empty or projection verdict — on first use. The
+// eliminating an ∃ plan's existential coordinates first — or caching
+// its empty or over-budget verdict, on first use. The
 // preparation seed derives from the cache key unless prepSeed pins it
 // (cdb.WithPrepSeed); the key does not depend on it, so a caller must
 // use one seed per key. A failed preparation is returned as the error

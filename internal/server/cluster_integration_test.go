@@ -13,12 +13,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	cdb "repro"
 	"repro/internal/cluster"
 	"repro/internal/runtime"
 )
@@ -149,8 +151,9 @@ func postJSONHeaders(t testing.TB, url string, body any, hdr map[string]string) 
 }
 
 // clusterTargets is the mixed workload: two declared relations (one a
-// union), a quantifier-free named query and a projection-needing one.
-// The projection query has no cacheable sampler — /v1/sample and
+// union), a quantifier-free named query, an ∃-query served warm from
+// its eliminated relation and one past the elimination budget. The
+// over-budget query has no cacheable sampler — /v1/sample and
 // /v1/volume answer a deterministic 400 and its owner caches the
 // negative verdict, which must obey single ownership like any entry.
 var clusterTargets = []struct {
@@ -160,15 +163,19 @@ var clusterTargets = []struct {
 	{relation: "S", wantStatus: http.StatusOK},
 	{relation: "B", wantStatus: http.StatusOK},
 	{query: "C", wantStatus: http.StatusOK},
-	{query: "Q", wantStatus: http.StatusBadRequest},
+	{query: "Q", wantStatus: http.StatusOK},
+	{query: "Far", wantStatus: http.StatusBadRequest},
 }
+
+// clusterProgram is testProgram plus the over-budget query.
+var clusterProgram = testProgram + overBudgetProgram
 
 func TestClusterSingleOwnershipAndWarmForwarding(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 
 	// Registering against one node replicates to the peers, so every
 	// node can resolve ids and compile plans for routing.
-	register(t, tc.urls[0], "test", testProgram)
+	register(t, tc.urls[0], "test", clusterProgram)
 	for i, s := range tc.nodes {
 		if _, ok := s.Registry().Get("test"); !ok {
 			t.Fatalf("node %d did not receive the replicated registration", i)
@@ -232,19 +239,37 @@ func TestClusterSingleOwnershipAndWarmForwarding(t *testing.T) {
 	}
 	for _, target := range clusterTargets {
 		for _, opts := range []*OptionsJSON{fastOpts, nil} {
-			key := planKeyOf(t, "test", testProgram, target.relation+target.query, opts)
+			key := planKeyOf(t, "test", clusterProgram, target.relation+target.query, opts)
 			owner := tc.ownerIndex(t, key)
 			// The owner holds the target's entry (its cached verdict, for
-			// the ∃-query).
+			// the over-budget ∃-query).
 			if cached, _ := tc.nodes[owner].Runtime().Cache().Peek(key); !cached {
 				t.Errorf("target %s%s: owner node %d has no entry under %q", target.relation, target.query, owner, key)
 			}
 		}
 	}
 
+	// The within-budget ∃-query returns the same bytes through every
+	// node.
+	var qPoints [][]cdb.Vector
+	for _, url := range tc.urls {
+		resp, body := postJSONHeaders(t, url+"/v1/sample",
+			sampleRequest{Database: "test", Query: "Q", N: 4, Seed: 7, Options: fastOpts}, nil)
+		var out sampleResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil {
+			t.Fatalf("sample Q via %s: status %d, body %s", url, resp.StatusCode, body)
+		}
+		qPoints = append(qPoints, out.Points)
+	}
+	for i, pts := range qPoints {
+		if !reflect.DeepEqual(pts, qPoints[0]) {
+			t.Errorf("Q points via node %d differ from node 0: %v vs %v", i, pts, qPoints[0])
+		}
+	}
+
 	// (b) A warm forwarded request is served from the owner's cache: the
 	// response crosses back with the owner hint and a cache hit label.
-	owner := tc.ownerIndex(t, planKeyOf(t, "test", testProgram, "S", fastOpts))
+	owner := tc.ownerIndex(t, planKeyOf(t, "test", clusterProgram, "S", fastOpts))
 	ingress := (owner + 1) % len(tc.nodes)
 	resp, body := postJSONHeaders(t, tc.urls[ingress]+"/v1/sample",
 		sampleRequest{Database: "test", Relation: "S", N: 4, Seed: 9, Options: fastOpts}, nil)

@@ -271,9 +271,10 @@ func (s *Server) namedExec(e *runtime.DatabaseEntry, relName, queryName string, 
 }
 
 // needsQueryEndpoint is the 400 guard of /v1/sample and /v1/volume:
-// they serve plans with a prepared sampler, and a plan needing the
-// projection generator (whose verdict the owner has now cached) is
-// evaluated through POST /v1/query instead.
+// they serve plans with a prepared sampler — ∃ plans within the
+// elimination budget included — and an ∃ plan past the budget (whose
+// verdict the owner has now cached) is evaluated through POST /v1/query
+// instead.
 func needsQueryEndpoint(x *runtime.Exec) error {
 	if _, err := x.Sampler(); errors.Is(err, runtime.ErrNeedsProjection) {
 		return fmt.Errorf("%w; use POST /v1/query", err)
@@ -480,8 +481,13 @@ func (s *Server) handleVolume(w http.ResponseWriter, r *http.Request) {
 	if req.MedianK > 1 {
 		// k independent cold estimators over the canonical relation (see
 		// volumeRequest.MedianK for why they are not warm binds), whose
-		// walks abort when the client goes away.
+		// walks abort when the client goes away. The guard above passed,
+		// so an ∃ plan is within the elimination budget: its relation is
+		// the elimination its warm entry was prepared from.
 		rel, err := x.Plan.Relation(resp.Target)
+		if x.Plan.NeedsProjection() {
+			rel, err = x.Plan.EvalSymbolic(resp.Target)
+		}
 		if err == nil {
 			opts.Interrupt = r.Context().Err
 			resp.Volume, err = cdb.MedianVolume(rel, req.MedianK, req.Seed, opts)

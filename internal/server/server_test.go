@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +18,8 @@ import (
 	"time"
 
 	cdb "repro"
+	"repro/internal/constraint"
+	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -30,6 +33,13 @@ query C(x, y) := S(x, y) & x <= 1/2;
 
 // fastOpts keeps volume passes short so the suite stays quick.
 var fastOpts = &OptionsJSON{MaxPhaseSamples: 200}
+
+// overBudgetProgram declares Ball, 40 planes tangent to the unit ball,
+// and Far := ∃z Ball: eliminating z predicts 20 × 20 = 400 atoms, past
+// the runtime's elimination budget, so Far runs on Algorithm 2's
+// per-call engine while testProgram's Q is served warm.
+var overBudgetProgram = "\n" + constraint.MustRelation("Ball", []string{"x", "y", "z"},
+	dataset.TangentBall(40).Tuple()).Source() + "\nquery Far(x, y) := exists z. Ball(x, y, z);\n"
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -370,7 +380,8 @@ func TestQueryEndpointModes(t *testing.T) {
 
 func TestQuantifierFreeQueryUsesPreparedCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	register(t, ts.URL, "test", testProgram)
+	src := testProgram + overBudgetProgram
+	register(t, ts.URL, "test", src)
 
 	// C(x,y) = S ∧ x ≤ 1/2 is quantifier-free, so /v1/sample serves it
 	// through the prepared-sampler cache like a relation.
@@ -390,13 +401,52 @@ func TestQuantifierFreeQueryUsesPreparedCache(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 1", s.rt.Cache().Len())
 	}
 
-	// The ∃ query is rejected from the cached sample path with guidance.
-	resp, body = postJSON(t, ts.URL+"/v1/sample", sampleRequest{Database: "test", Query: "Q", N: 5, Seed: 3})
+	// An ∃ query past the elimination budget is rejected from the cached
+	// sample path with guidance.
+	resp, body = postJSON(t, ts.URL+"/v1/sample", sampleRequest{Database: "test", Query: "Far", N: 5, Seed: 3})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("∃ query via /v1/sample: status %d, body %s", resp.StatusCode, body)
+		t.Fatalf("over-budget ∃ query via /v1/sample: status %d, body %s", resp.StatusCode, body)
 	}
 	if !strings.Contains(string(body), "/v1/query") {
 		t.Fatalf("error should point at /v1/query: %s", body)
+	}
+
+	// One within the budget is prepared from its eliminated relation
+	// under its plan key.
+	resp, body = postJSON(t, ts.URL+"/v1/sample", sampleRequest{Database: "test", Query: "Q", N: 40, Seed: 3, Options: fastOpts})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("∃ query via /v1/sample: status %d, body %s", resp.StatusCode, body)
+	}
+	out = sampleResponse{}
+	json.Unmarshal(body, &out)
+	key := planKeyOf(t, "test", src, "Q", fastOpts)
+	if cached, negative := s.rt.Cache().Peek(key); !cached || negative {
+		t.Fatalf("∃ query left cached=%v negative=%v under its plan key %q, want a warm entry", cached, negative, key)
+	}
+	db, err := cdb.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	exact, err := db.Rel("Q").EvalSymbolic(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range out.Points {
+		if !exact.Contains(p) {
+			t.Fatalf("∃ point %v outside the eliminated relation %v", p, exact)
+		}
+	}
+
+	// Median amplification runs its cold estimators over the same
+	// eliminated relation.
+	resp, body = postJSON(t, ts.URL+"/v1/volume", volumeRequest{Database: "test", Query: "Q", MedianK: 3, Seed: 3, Options: fastOpts})
+	var vout volumeResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &vout) != nil {
+		t.Fatalf("∃ query via /v1/volume median_k=3: status %d, body %s", resp.StatusCode, body)
+	}
+	if vout.Method != "median" || math.Abs(vout.Volume-1) > 0.5 {
+		t.Fatalf("∃ query median volume %v (%s), want ≈ 1", vout.Volume, vout.Method)
 	}
 }
 

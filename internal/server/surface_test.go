@@ -6,7 +6,7 @@ package server
 // name to one canonical plan and execute it through one executor, so for
 // a given seed they must agree on the canonical key, on the sampled
 // points byte for byte and on the volume. A golden file pins the
-// quantifier-free targets' keys, points and volumes on every surface, so
+// warm targets' keys, points and volumes on every surface, so
 // refactoring the execution core cannot silently move them.
 
 import (
@@ -29,28 +29,30 @@ import (
 var updateSurface = flag.Bool("update-surface", false, "rewrite testdata/surface_golden.json")
 
 // surfaceProgram holds one target of each shape: a single-tuple
-// relation, a union, a quantifier-free query, an ∃-query and an empty
-// relation.
-const surfaceProgram = `
+// relation, a union, a quantifier-free query, an ∃-query served from its
+// eliminated relation, an empty relation and an ∃-query past the
+// elimination budget.
+var surfaceProgram = `
 rel T(x, y) := { x >= 0, y >= 0, x + y <= 1 };
 rel U(x, y) := { x >= 0, x <= 1, y >= 0, y <= 1 } | { x >= 2, x <= 3, y >= 0, y <= 1 };
 query C(x, y) := T(x, y) & x <= 1/2;
 query P(x) := exists y. T(x, y);
 rel E(x, y) := { x >= 0, x <= 1, y >= 2, y <= 1 };
-`
+` + overBudgetProgram
 
 // surfaceTargets lists the program's targets; query marks the names a
 // /v1/sample request addresses through its "query" field.
 var surfaceTargets = []struct {
-	name          string
-	query         bool
-	exists, empty bool
+	name              string
+	query             bool
+	overBudget, empty bool
 }{
 	{name: "T"},
 	{name: "U"},
 	{name: "C", query: true},
-	{name: "P", query: true, exists: true},
+	{name: "P", query: true},
 	{name: "E", empty: true},
+	{name: "Far", query: true, overBudget: true},
 }
 
 const (
@@ -100,7 +102,7 @@ func TestCrossSurfaceConformance(t *testing.T) {
 		}
 		resp, body := postJSON(t, ts.URL+"/v1/sample", sreq)
 		switch {
-		case tg.exists:
+		case tg.overBudget:
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "/v1/query") {
 				t.Errorf("%s: /v1/sample = %d %s, want 400 pointing at /v1/query", tg.name, resp.StatusCode, body)
 			}
@@ -185,7 +187,7 @@ func TestCrossSurfaceConformance(t *testing.T) {
 		// rather than the cross-surface equality.
 		vreq := volumeRequest{Database: "main", Relation: sreq.Relation, Query: sreq.Query, Seed: surfaceSeed}
 		resp, body = postJSON(t, ts.URL+"/v1/volume", vreq)
-		if tg.exists {
+		if tg.overBudget {
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "/v1/query") {
 				t.Errorf("%s: /v1/volume = %d %s, want 400 pointing at /v1/query", tg.name, resp.StatusCode, body)
 			}
@@ -197,7 +199,7 @@ func TestCrossSurfaceConformance(t *testing.T) {
 			rec.Volumes["/v1/volume"] = out.Volume
 		}
 
-		if !tg.exists && !tg.empty {
+		if !tg.overBudget && !tg.empty {
 			rreq := reconstructRequest{Database: "main", Relation: sreq.Relation, Query: sreq.Query, N: 40, Seed: surfaceSeed}
 			resp, body = postJSON(t, ts.URL+"/v1/reconstruct", rreq)
 			var out reconstructResponse
@@ -208,11 +210,11 @@ func TestCrossSurfaceConformance(t *testing.T) {
 		}
 	}
 
-	// The golden pins every quantifier-free target, and the ∃-target's
+	// The golden pins every warm target, and the over-budget target's
 	// key: Algorithm 2 draws are pinned by the equality above instead.
 	golden := map[string]*surfaceRecord{}
 	for _, tg := range surfaceTargets {
-		if tg.exists {
+		if tg.overBudget {
 			golden[tg.name] = &surfaceRecord{Key: records[tg.name].Key}
 			continue
 		}
@@ -322,7 +324,7 @@ func TestNamedQuerySurfacesAgree(t *testing.T) {
 		return out
 	}
 
-	for _, name := range []string{"C", "P"} {
+	for _, name := range []string{"C", "P", "Far"} {
 		want, err := db.Rel(name).SampleNSeeded(ctx, surfaceN, surfaceSeed)
 		if err != nil {
 			t.Fatal(err)

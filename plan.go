@@ -72,7 +72,11 @@ type ExplainReport struct {
 	// "hit", "negative" or "miss". Explain never populates the cache.
 	Cache string
 	// Empty reports a provably empty expression (every disjunct LP-
-	// infeasible); NeedsProjection reports a plan requiring Algorithm 2.
+	// infeasible); NeedsProjection reports an ∃ plan, whose existential
+	// coordinates the executor eliminates by Fourier–Motzkin within an
+	// atom budget. For such a plan Cache "hit" means its eliminated
+	// relation is prepared and warm, and "negative" means the plan is
+	// past the budget and runs on Algorithm 2's per-call engine.
 	Empty, NeedsProjection bool
 	// SymbolicOnly reports an expression outside the existential
 	// sampling fragment (Minus of a projection, Div): it has no
@@ -95,7 +99,9 @@ type ExplainReport struct {
 	// Stages aggregates the per-stage timings observed for this
 	// expression so far: the compile pass plus whatever the cost table
 	// has recorded under its keys (prepare, sample, bind, queue,
-	// eliminate). Stages that never ran are omitted.
+	// eliminate — an ∃ plan's elimination under CacheKey and a symbolic
+	// evaluation's under SymbolicKey). Stages that never ran are
+	// omitted.
 	Stages []StageTiming
 	// Observed is the expression's accumulated measured cost under
 	// CacheKey (nil until a terminal verb has run); SymbolicObserved
@@ -346,8 +352,18 @@ func stageTimings(compileNanos int64, observed, symbolic *ObservedCost) []StageT
 			}
 		}
 	}
-	if symbolic != nil && symbolic.Evals > 0 {
-		st = append(st, StageTiming{Stage: "eliminate", Count: symbolic.Evals, Nanos: symbolic.ElimNanos})
+	// The plan cache eliminates an ∃ plan before preparing it, and the
+	// symbolic cache for EvalSymbolic/VolumeSymbolic; one row counts
+	// both passes.
+	elim := StageTiming{Stage: "eliminate"}
+	for _, c := range []*ObservedCost{observed, symbolic} {
+		if c != nil {
+			elim.Count += c.Evals
+			elim.Nanos += c.ElimNanos
+		}
+	}
+	if elim.Count > 0 {
+		st = append(st, elim)
 	}
 	return st
 }

@@ -247,7 +247,10 @@ func TestExplainSymbolicResidency(t *testing.T) {
 // tolerance — the differential-testing oracle that generalizes the
 // 24-pair alibi agreement suite to arbitrary expressions.
 func FuzzSymbolicVsSampling(f *testing.F) {
-	f.Add(0.0, 1.0, 0.5, 2.0, 0.25)
+	// Every seed clears the 0.05 sliver threshold and reaches the
+	// comparison: the cut bites both overlapping boxes (0.875), one box
+	// (1.845) and misses the other box (2).
+	f.Add(0.0, 1.0, 0.5, 2.0, 1.5)
 	f.Add(-1.0, 0.5, 0.0, 1.0, 0.1)
 	f.Add(0.0, 4.0, 3.0, 4.0, 2.0)
 	f.Fuzz(func(t *testing.T, aLo, aHi, bLo, bHi, cut float64) {

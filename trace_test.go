@@ -2,6 +2,7 @@ package cdb_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -184,5 +185,70 @@ func TestExplainObservedCosts(t *testing.T) {
 	}
 	if len(db.ObservedCosts()) == 0 {
 		t.Fatal("ObservedCosts returned nothing")
+	}
+}
+
+// TestExplainEliminateStage: an ∃ plan within the elimination budget
+// records its Fourier–Motzkin pass under its plan key, which Explain
+// reports as the eliminate stage next to the preparation; a symbolic
+// evaluation adds to the same row. Past the budget the refused attempt
+// is recorded with no round run, and the cache reads "negative".
+func TestExplainEliminateStage(t *testing.T) {
+	db, err := cdb.Open(handleProgram + overBudgetProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+
+	eliminate := func(rep *cdb.ExplainReport) cdb.StageTiming {
+		for _, s := range rep.Stages {
+			if s.Stage == "eliminate" {
+				return s
+			}
+		}
+		return cdb.StageTiming{}
+	}
+	q := db.Rel("Q") // exists y. S(x, y)
+	if _, err := q.SampleN(ctx, 16); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := q.Explain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := rep.Observed
+	if rep.Cache != "hit" || o == nil {
+		t.Fatalf("∃ plan: cache %q, observed %+v; want a warm entry with costs", rep.Cache, o)
+	}
+	if o.Evals != 1 || o.ElimRounds != 1 || o.ElimVars != 1 || o.AtomsIn != 3 || o.AtomsOut != 2 || o.Preps != 1 {
+		t.Fatalf("observed elimination %+v, want one round of 3 → 2 atoms, then one preparation", o)
+	}
+	if s := eliminate(rep); s.Count != 1 || s.Nanos != o.ElimNanos || s.Nanos <= 0 {
+		t.Fatalf("eliminate stage %+v, want ×1 taking %d ns", s, o.ElimNanos)
+	}
+	if !strings.Contains(rep.String(), "eliminate") {
+		t.Fatalf("rendered report has no eliminate row:\n%s", rep)
+	}
+	if _, err := q.EvalSymbolic(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = q.Explain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s := eliminate(rep); s.Count != 2 {
+		t.Fatalf("eliminate stage after EvalSymbolic %+v, want ×2", s)
+	}
+
+	far := db.Rel("Far")
+	if _, err := far.Sampler(ctx); !errors.Is(err, cdb.ErrNeedsProjection) {
+		t.Fatalf("Sampler(Far) = %v, want ErrNeedsProjection", err)
+	}
+	rep, err = far.Explain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := rep.Observed; rep.Cache != "negative" || o == nil || o.Evals != 1 || o.ElimRounds != 0 || o.AtomsIn != 40 || o.AtomsOut != 0 {
+		t.Fatalf("over-budget plan: cache %q, observed %+v; want a negative entry whose refused round ran nothing", rep.Cache, o)
 	}
 }

@@ -85,8 +85,8 @@ func main() {
 	}
 	fmt.Printf("parcels ∩ reserve: volume %g (provably empty, cached verdict)\n", v)
 
-	// Project away a coordinate (Algorithm 2 under the hood) and slice
-	// the storm cell at t = 3.
+	// Project away a coordinate (eliminated by Fourier–Motzkin, then
+	// sampled warm) and slice the storm cell at t = 3.
 	xs, err := db.Rel("parcels").Project("x").SampleN(ctx, 3)
 	if err != nil {
 		log.Fatal(err)

@@ -39,7 +39,9 @@ type Cost struct {
 	Rounds  atomic.Int64
 	Accepts atomic.Int64
 
-	// Symbolic (Fourier–Motzkin) effort.
+	// Symbolic (Fourier–Motzkin) effort: symbolic evaluations under
+	// symbolic keys, and the elimination that serves an ∃ plan warm
+	// under its plan key.
 	Evals      atomic.Int64
 	ElimNanos  atomic.Int64
 	ElimRounds atomic.Int64

@@ -63,9 +63,11 @@ func TestPlanEvictionFreesAuditAndQuality(t *testing.T) {
 
 // TestEvictionForgetsCosts: the observed-cost table holds cells only for
 // resident cache entries. With CacheSize 4, forty distinct two-disjunct
-// plans are sampled and measured and their symbolic plans eliminated;
-// afterwards every cost cell names a resident plan or symbolic key, or a
-// "key#i" member of a resident plan.
+// plans are sampled and measured and their symbolic plans eliminated,
+// and forty ∃ plans over them are served from their elimination, whose
+// effort lands under their plan keys; afterwards every cost cell names
+// a resident plan or symbolic key, or a "key#i" member of a resident
+// plan.
 func TestEvictionForgetsCosts(t *testing.T) {
 	const capacity, keys = 4, 40
 	rt := NewWithSink(Config{PoolSize: 2, CacheSize: capacity}, nil)
@@ -73,6 +75,7 @@ func TestEvictionForgetsCosts(t *testing.T) {
 	var src strings.Builder
 	for i := 0; i < keys; i++ {
 		fmt.Fprintf(&src, "rel R%d(x, y) := { 0 <= x <= %d, 0 <= y <= 1 } | { 0 <= x <= 1, 0 <= y <= %d };\n", i, i+2, i+2)
+		fmt.Fprintf(&src, "query Q%d(y) := exists x. R%d(x, y);\n", i, i)
 	}
 	entry, _, err := rt.Registry().Register("costs", src.String())
 	if err != nil {
@@ -95,6 +98,15 @@ func TestEvictionForgetsCosts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, _, _, err := rt.Symbolic(ctx, entry, query.SymbolicFromPlan(cp)); err != nil {
+			t.Fatal(err)
+		}
+		if cp, err = entry.Plan(fmt.Sprintf("Q%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if x, err = rt.Exec(entry, cp, testOptions(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := x.SampleN(ctx, 8, 1, uint64(i)+1); err != nil {
 			t.Fatal(err)
 		}
 	}

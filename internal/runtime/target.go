@@ -118,11 +118,12 @@ func (rt *Runtime) preparedPlan(e *DatabaseEntry, cp *query.CanonicalPlan, opts 
 // pruning (rest + uppers × lowers). It is the constraint package's
 // redundancy-pruning limit, so every admitted round is pruned: a round
 // predicting 256 atoms over a 32-plane tangent ball prunes to 22 in
-// ~50 ms, while one predicting 289 (34 planes) would keep all 289 for
-// every warm draw to walk. perfbench's shapes peak at 69 predicted
-// atoms (∃x2..x5 of the d = 6 shape) and experiment E9's pipelines at
-// 198 (k = 4 eliminated). The budget reads atom counts only, never a
-// clock, so every node and every surface decides the same way.
+// ~50 ms on a 2-vCPU VM, while one predicting 289 (34 planes) would
+// keep all 289 for every warm draw to walk. perfbench's shapes peak at
+// 69 predicted atoms (∃x2..x5 of the d = 6 shape) and experiment E9's
+// pipelines at 198 (k = 4 eliminated). The budget reads atom counts
+// only, never a clock, so every node and every surface decides the
+// same way.
 const elimAtomBudget = 256
 
 // buildFromPlan is the cold-build closure body: empty plans and ∃ plans

@@ -23,7 +23,9 @@ type QueryPlan = query.Plan
 
 // DisjunctExplain describes one disjunct of a canonical plan.
 type DisjunctExplain struct {
-	// Kind is "convex" (a DFK generator) or "projection" (Algorithm 2).
+	// Kind is "convex" (a DFK generator) or "projection" (existential
+	// coordinates, eliminated by Fourier–Motzkin within the executor's
+	// atom budget and sampled by Algorithm 2 past it).
 	Kind string
 	// Dim is the disjunct's ambient dimension (outputs + existential
 	// coordinates); Constraints its row count; ExVars the number of

@@ -95,8 +95,9 @@ func projectionCols(d int) []string {
 // BenchmarkVolumeSymbolicVsSampled compares, per dimension d = 2..6,
 // the exact symbolic volume (Fourier–Motzkin elimination of one
 // coordinate + Lasserre inclusion–exclusion, cold each iteration)
-// against the Monte-Carlo estimate of the same projection (per-call
-// projection generator, the Algorithm 2 fallback).
+// against the Monte-Carlo estimate of the same projection, also cold:
+// the executor eliminates the coordinate within its atom budget and
+// prepares the result before estimating.
 func BenchmarkVolumeSymbolicVsSampled(b *testing.B) {
 	ctx := context.Background()
 	for d := 2; d <= 6; d++ {

@@ -484,10 +484,11 @@ func (s *Server) handleVolume(w http.ResponseWriter, r *http.Request) {
 		// walks abort when the client goes away. The guard above passed,
 		// so an ∃ plan is within the elimination budget: its relation is
 		// the elimination its warm entry was prepared from.
-		rel, err := x.Plan.Relation(resp.Target)
+		relation := x.Plan.Relation
 		if x.Plan.NeedsProjection() {
-			rel, err = x.Plan.EvalSymbolic(resp.Target)
+			relation = x.Plan.EvalSymbolic
 		}
+		rel, err := relation(resp.Target)
 		if err == nil {
 			opts.Interrupt = r.Context().Err
 			resp.Volume, err = cdb.MedianVolume(rel, req.MedianK, req.Seed, opts)

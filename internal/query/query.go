@@ -66,7 +66,11 @@ type PlanDisjunct struct {
 
 // Describe renders the plan for humans: one line per disjunct with its
 // generator kind (the paper's combinator), dimensions and constraint
-// counts.
+// counts. A projection disjunct names both of its routes: the executor
+// serves it warm from its Fourier–Motzkin elimination, and runs
+// Algorithm 2 per call only when a round would pass the elimination
+// budget (CanonicalPlan.EliminateWithin); the plan's cache entry says
+// which route it took.
 func (p *Plan) Describe() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "sampling plan over (%s): %d disjunct(s) under the union combinator\n",
@@ -74,7 +78,8 @@ func (p *Plan) Describe() string {
 	for i, d := range p.Disjuncts {
 		kind := "DFK convex generator"
 		if d.ExVars > 0 {
-			kind = fmt.Sprintf("projection generator (Algorithm 2, %d coordinate(s) eliminated)", d.ExVars)
+			kind = fmt.Sprintf("projection generator over %d existential coordinate(s): "+
+				"Fourier–Motzkin elimination, prepared warm; Algorithm 2 per call only past the elimination budget", d.ExVars)
 		}
 		fmt.Fprintf(&sb, "  disjunct %d: %s — %d constraints in R^%d\n",
 			i, kind, d.Poly.Rows(), d.Poly.Dim())

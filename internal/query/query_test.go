@@ -293,7 +293,8 @@ func TestPlanDescribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	desc := plan.Describe()
-	for _, want := range []string{"union combinator", "projection generator", "R^2"} {
+	for _, want := range []string{"union combinator", "projection generator", "R^2",
+		"Fourier–Motzkin elimination, prepared warm", "Algorithm 2 per call only past the elimination budget"} {
 		if !strings.Contains(desc, want) {
 			t.Errorf("Describe missing %q in %q", want, desc)
 		}

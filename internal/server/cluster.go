@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,18 +12,20 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/query"
-	"repro/internal/runtime"
+	"repro/internal/obs"
 )
 
 // Cluster mode routes every prepared-cache key to exactly one owner
 // node: a consistent-hash ring over the static membership decides who
 // prepares (and keeps warm) each (database, target, options) key, and
-// non-owner nodes transparently proxy /v1/* requests to the owner. The
-// routing layer sits ABOVE the handlers — a request either forwards
-// before touching the local runtime or runs the unchanged single-node
-// path — so the Local (no peers) configuration is byte-identical to the
-// pre-cluster server.
+// non-owner nodes transparently proxy /v1/* requests to the owner.
+// Routing shares each endpoint's resolve step with its serving half
+// (see resolve.go): routed resolves a request once, hashes the cache
+// key resolve names and either forwards the body to the owner or hands
+// the resolved request to the serving half, so no node decodes or
+// compiles a request twice. The Local (no peers) configuration runs the
+// same resolve-then-serve path with no routing step, byte-identical to
+// the pre-cluster server.
 //
 // Resilience: each peer has a circuit breaker (fed by forwarding
 // outcomes and an optional background prober); a request whose owner is
@@ -45,195 +46,6 @@ const (
 	// control; absent, the request charges the anonymous bucket.
 	headerTenant = "X-CDB-Tenant"
 )
-
-// maxRouteBody caps how much request body the routing layer reads to
-// extract a key; larger bodies are served locally and meet the
-// endpoint's own MaxBytesReader downstream.
-const maxRouteBody = 1 << 18
-
-// routeKeyFunc extracts the routing key from a request: usually from
-// the decoded body, but /v1/sql also reads the request's query
-// parameters (its body is the bare statement text). Returning "" means
-// "no routing verdict — serve locally" (unknown database, malformed
-// body, …); the local handler then produces the same error a
-// single-node server would.
-type routeKeyFunc func(s *Server, r *http.Request, body []byte) string
-
-// routeOptsKey resolves the wire options to their cache fingerprint;
-// routing must hash exactly the key the owner's runtime will store
-// under, or two nodes would disagree about ownership of one entry.
-func routeOptsKey(o *OptionsJSON) (string, bool) {
-	opts, err := o.toOptions()
-	if err != nil {
-		return "", false
-	}
-	return opts.CacheKey(), true
-}
-
-// routeEntryID resolves the database id the cache keys embed.
-func (s *Server) routeEntryID(database string) (string, bool) {
-	e, ok := s.rt.Registry().Get(database)
-	if !ok {
-		return "", false
-	}
-	return e.ID, true
-}
-
-func routeKeySample(s *Server, r *http.Request, body []byte) string {
-	var req sampleRequest
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	return s.targetKey(req.Database, req.Relation, req.Query, req.Options)
-}
-
-func routeKeyVolume(s *Server, r *http.Request, body []byte) string {
-	var req volumeRequest
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	return s.targetKey(req.Database, req.Relation, req.Query, req.Options)
-}
-
-func routeKeyReconstruct(s *Server, r *http.Request, body []byte) string {
-	var req reconstructRequest
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	return s.targetKey(req.Database, req.Relation, req.Query, req.Options)
-}
-
-// targetKey is the name-addressed routing key: the PlanKey of the
-// canonical plan the name resolves to, which is exactly the key the
-// owner caches under. /v1/expr and /v1/sql route on the same key, so
-// one canonical plan has one owner whichever surface asked for it.
-func (s *Server) targetKey(database, relation, query string, o *OptionsJSON) string {
-	e, ok := s.rt.Registry().Get(database)
-	if !ok {
-		return ""
-	}
-	cp, err := e.Target(relation, query)
-	if err != nil {
-		return ""
-	}
-	optsKey, ok := routeOptsKey(o)
-	if !ok {
-		return ""
-	}
-	return runtime.PlanKey(e.ID, cp.Key, optsKey)
-}
-
-// routeKeyQuery routes a named query on the key its evaluation caches
-// under: the plan key /v1/sample routes the same query on, or the
-// symbolic key in symbolic mode, so one plan has one owner whichever
-// endpoint asks for it.
-func routeKeyQuery(s *Server, r *http.Request, body []byte) string {
-	var req queryRequest
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	if req.Mode != "symbolic" {
-		return s.targetKey(req.Database, "", req.Query, req.Options)
-	}
-	e, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		return ""
-	}
-	sq, err := query.NewRel(req.Query).CompileSymbolic(e.DB)
-	if err != nil {
-		return ""
-	}
-	return runtime.SymbolicKey(e.ID, sq.Key)
-}
-
-// routeKeyExpr compiles the expression tree to its canonical plan and
-// routes on the same runtime.PlanKey the handler caches under, so
-// structurally equal expressions reach one owner whatever surface or
-// operand order produced them. Symbolic mode routes on the symbolic
-// key (options are irrelevant there, matching the symbolic cache).
-func routeKeyExpr(s *Server, r *http.Request, body []byte) string {
-	var req exprRequest
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	e, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		return ""
-	}
-	budget := maxExprNodes
-	node, err := req.Expr.toNode(&budget, "expr")
-	if err != nil {
-		return ""
-	}
-	if req.Mode == "symbolic" {
-		sq, err := node.CompileSymbolic(e.DB)
-		if err != nil {
-			return ""
-		}
-		return runtime.SymbolicKey(e.ID, sq.Key)
-	}
-	plan, err := node.Compile(e.DB)
-	if err != nil {
-		return ""
-	}
-	optsKey, ok := routeOptsKey(req.Options)
-	if !ok {
-		return ""
-	}
-	return runtime.PlanKey(e.ID, query.Canonicalize(plan).Key, optsKey)
-}
-
-func routeKeySpacetimeSlice(s *Server, r *http.Request, body []byte) string {
-	var req spacetimeSliceRequest
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	id, ok := s.routeEntryID(req.Database)
-	if !ok {
-		return ""
-	}
-	optsKey, ok := routeOptsKey(req.Options)
-	if !ok {
-		return ""
-	}
-	return runtime.SliceKey(id, req.Relation, req.T0, optsKey)
-}
-
-func routeKeySpacetimeSample(s *Server, r *http.Request, body []byte) string {
-	var req spacetimeSampleRequest
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	if req.T0 == nil || req.T1 == nil {
-		// No window: the handler shares /v1/sample's cache entry.
-		return s.targetKey(req.Database, req.Relation, "", req.Options)
-	}
-	id, ok := s.routeEntryID(req.Database)
-	if !ok {
-		return ""
-	}
-	optsKey, ok := routeOptsKey(req.Options)
-	if !ok {
-		return ""
-	}
-	return runtime.WindowKey(id, req.Relation, *req.T0, *req.T1, optsKey)
-}
-
-func routeKeySpacetimeAlibi(s *Server, r *http.Request, body []byte) string {
-	var req alibiRequest
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	id, ok := s.routeEntryID(req.Database)
-	if !ok {
-		return ""
-	}
-	optsKey, ok := routeOptsKey(req.Options)
-	if !ok {
-		return ""
-	}
-	return runtime.AlibiKey(id, req.A, req.B, req.T0, req.T1, optsKey)
-}
 
 // --- middleware ----------------------------------------------------------
 
@@ -263,57 +75,56 @@ func (s *Server) admitted(endpoint string, h http.HandlerFunc) http.HandlerFunc 
 	}
 }
 
-// routed applies consistent-hash routing in front of h: requests whose
-// key this node owns (or that cannot be routed) run h unchanged;
-// everything else forwards to the owner, falling back to h when the
-// owner is unreachable. With the Local router the middleware is h
-// itself — the single-node server never pays for cluster mode.
-func (s *Server) routed(endpoint string, keyOf routeKeyFunc, h http.HandlerFunc) http.HandlerFunc {
-	if _, isLocal := s.router.(cluster.Local); isLocal {
-		return h
-	}
+// routed runs the endpoint's resolve step once and routes on the key it
+// names: a request this node owns runs its serving half here, anything
+// else forwards to the owner, falling back to the local serving half
+// when the hop limit is reached, the owner's breaker is open or the
+// forward fails in transport. A request resolve refuses is answered
+// here with its error, the same answer every node gives. With the Local
+// router there is no routing step: the single-node server resolves and
+// serves.
+func (s *Server) routed(endpoint string, resolve resolveFunc) http.HandlerFunc {
+	_, single := s.router.(cluster.Local)
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxRouteBody+1))
-		r.Body.Close()
-		if err != nil || len(body) > maxRouteBody {
-			// Oversized or unreadable: let the handler's own limits decide.
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			h(w, r)
+		_, span := obs.Start(r.Context(), "resolve")
+		req, err := resolve(w, r)
+		span.SetKey(req.key)
+		span.End()
+		switch {
+		case err != nil:
+			if !single {
+				s.metrics.IncRoute(endpoint, "local")
+			}
+			s.writeRejected(w, endpoint, err)
+			return
+		case single:
+			req.serve(w, r)
 			return
 		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-
-		key := keyOf(s, r, body)
-		if key == "" {
-			s.metrics.IncRoute(endpoint, "local")
-			h(w, r)
-			return
-		}
-		owner, local := s.router.Route(key)
+		owner, local := s.router.Route(req.key)
 		if local {
 			s.metrics.IncRoute(endpoint, "local")
-			h(w, r)
+			req.serve(w, r)
 			return
 		}
 		if hops := forwardedHops(r); hops >= s.cfg.Cluster.MaxHops {
 			// A chain this long means the membership views disagree; break
 			// the loop by serving locally (duplicated warmth beats a cycle).
 			s.metrics.IncRoute(endpoint, "hop_limit")
-			h(w, r)
+			req.serve(w, r)
 			return
 		}
 		br := s.health.Breaker(owner)
 		if !br.Allow() {
 			s.metrics.IncRoute(endpoint, "fallback_breaker")
-			h(w, r)
+			req.serve(w, r)
 			return
 		}
-		if ok := s.forward(w, r, endpoint, owner, key, body, br); !ok {
-			// Transport failure: the breaker heard about it; compute locally
+		if ok := s.forward(w, r, endpoint, owner, req.key, req.body, br); !ok {
+			// Transport failure: the breaker heard about it; serve locally
 			// so the client never sees the dead peer.
 			s.metrics.IncRoute(endpoint, "fallback_error")
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			h(w, r)
+			req.serve(w, r)
 		}
 	}
 }
@@ -334,7 +145,7 @@ func forwardedHops(r *http.Request) int {
 
 // forward proxies the request to the owner node. It reports false on
 // transport-level failure (the caller then falls back to the local
-// handler); HTTP-level errors from the owner are proxied verbatim —
+// serving half); HTTP-level errors from the owner are proxied verbatim —
 // the owner answering 4xx/5xx is routing working, not failing.
 func (s *Server) forward(w http.ResponseWriter, r *http.Request, endpoint, owner, key string, body []byte, br *cluster.Breaker) bool {
 	ctx := r.Context()

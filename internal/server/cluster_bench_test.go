@@ -1,11 +1,15 @@
 package server
 
-// Cluster benchmarks: the cost of the forwarding hop on the warm path
-// (BENCH_cluster.json's headline pair — warm forwarded draw vs warm
-// local draw at 16-point batches, target ≤ 2x) and the owner-hit ratio
-// under a deterministic SpiderWeb-style key distribution (spatial grid
-// tiles requested in a fixed diagonal-weighted sequence, the load shape
-// of the spatial-data-generator literature).
+// Cluster benchmarks: the cost of the forwarding hop on the warm path —
+// a warm forwarded draw vs a warm local draw at 16-point batches
+// (target ≤ 2x), through /v1/sample, which names its target and
+// compiles nothing, and through /v1/sql, which parses, compiles and
+// canonicalizes on every node that resolves it — and the owner-hit
+// ratio under a deterministic SpiderWeb-style key distribution (spatial
+// grid tiles requested in a fixed diagonal-weighted sequence, the load
+// shape of the spatial-data-generator literature). End-to-end cluster
+// numbers come from perfbench's http_cluster workload
+// (bash perfbench/run.sh --workload http_cluster).
 
 import (
 	"encoding/json"
@@ -87,6 +91,63 @@ func BenchmarkClusterWarmForwardedDraw16(b *testing.B) {
 		resp := drawVia(b, forwardURL, "S")
 		if resp.Header.Get("X-CDB-Owner") == "" {
 			b.Fatal("draw was not forwarded — ingress node owns the key")
+		}
+	}
+}
+
+// sqlStmt is the /v1/sql counterpart of drawVia's request: 16 points of
+// S under default options.
+const sqlStmt = "SELECT * FROM S SAMPLE 16 SEED 11"
+
+// sqlVia posts sqlStmt through the given ingress node.
+func sqlVia(b *testing.B, url string) *http.Response {
+	b.Helper()
+	resp, out, body := postSQL(b, url, "bench", sqlStmt)
+	if resp.StatusCode != http.StatusOK {
+		b.Fatalf("sql via %s: status %d, body %s", url, resp.StatusCode, body)
+	}
+	if out.Cache != "hit" {
+		b.Fatalf("cache = %q, want hit (warm it before timing)", out.Cache)
+	}
+	return resp
+}
+
+// warmSQL prepares sqlStmt's plan on its owner and returns (owner,
+// non-owner) ingress URLs, like warmS.
+func warmSQL(b *testing.B, tc *testCluster) (ownerURL, forwardURL string) {
+	b.Helper()
+	owner := tc.ownerIndex(b, planKeyOf(b, "bench", testProgram, "S", nil))
+	for i := range tc.urls {
+		postSQL(b, tc.urls[i], "bench", sqlStmt)
+	}
+	return tc.urls[owner], tc.urls[(owner+1)%len(tc.urls)]
+}
+
+// BenchmarkClusterWarmLocalSQL16 is the warm 16-point draw as a CDB-SQL
+// statement entering at its owner, which resolves it once: parse,
+// compile and canonicalize, then bind.
+func BenchmarkClusterWarmLocalSQL16(b *testing.B) {
+	tc, _ := benchCluster(b)
+	ownerURL, _ := warmSQL(b, tc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sqlVia(b, ownerURL)
+	}
+}
+
+// BenchmarkClusterWarmForwardedSQL16 is the same statement entering at
+// a non-owner, which resolves it to find the owner and forwards it; the
+// owner resolves it once more and serves it warm.
+func BenchmarkClusterWarmForwardedSQL16(b *testing.B) {
+	tc, _ := benchCluster(b)
+	_, forwardURL := warmSQL(b, tc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp := sqlVia(b, forwardURL)
+		if resp.Header.Get("X-CDB-Owner") == "" {
+			b.Fatal("statement was not forwarded — ingress node owns the key")
 		}
 	}
 }

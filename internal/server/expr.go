@@ -171,10 +171,10 @@ func (n *exprNodeJSON) failingPath(db *constraint.Database, path string) string 
 	return ""
 }
 
-// exprCompileError reports a compile failure, decorated with the
+// exprCompileError rejects a compile failure, decorated with the
 // op_path of the deepest independently-failing subtree when there is
 // one.
-func (s *Server) exprCompileError(w http.ResponseWriter, endpoint string, root *exprNodeJSON, db *constraint.Database, err error) {
+func exprCompileError(root *exprNodeJSON, db *constraint.Database, err error) error {
 	status := http.StatusBadRequest
 	if errors.Is(err, query.ErrUnknownTarget) {
 		status = http.StatusNotFound
@@ -182,7 +182,7 @@ func (s *Server) exprCompileError(w http.ResponseWriter, endpoint string, root *
 	if p := root.failingPath(db, "expr"); p != "" {
 		err = &opPathError{path: p, err: err}
 	}
-	s.writeError(w, endpoint, status, err)
+	return reject(status, err)
 }
 
 // --- POST /v1/expr --------------------------------------------------------
@@ -234,56 +234,57 @@ type exprResponse struct {
 	Spans     *spanJSON `json:"spans,omitempty"`
 }
 
-func (s *Server) handleExpr(w http.ResponseWriter, r *http.Request) {
+// resolveExpr compiles the expression tree to its canonical plan,
+// keyed by the runtime.PlanKey it caches under, so structurally equal
+// expressions reach one owner whatever surface or operand order
+// produced them. Symbolic mode compiles the symbolic query instead,
+// keyed by the symbolic key (no option enters the symbolic cache).
+func (s *Server) resolveExpr(w http.ResponseWriter, r *http.Request) (resolved, error) {
 	var req exprRequest
-	if !decodeBody(w, r, 1<<18, &req) {
-		s.metrics.IncError("expr")
-		return
-	}
-	entry, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		s.writeError(w, "expr", http.StatusNotFound, fmt.Errorf("database %q not registered", req.Database))
-		return
-	}
-	opts, err := req.Options.toOptions()
+	body, err := readJSON(w, r, 1<<18, &req)
 	if err != nil {
-		s.writeError(w, "expr", http.StatusBadRequest, err)
-		return
+		return resolved{}, err
+	}
+	entry, opts, err := s.lookup(req.Database, req.Options)
+	if err != nil {
+		return resolved{}, err
 	}
 	budget := maxExprNodes
 	node, err := req.Expr.toNode(&budget, "expr")
 	if err != nil {
-		s.writeError(w, "expr", http.StatusBadRequest, err)
-		return
+		return resolved{}, reject(http.StatusBadRequest, err)
 	}
+	var t target
+	if req.Mode == "symbolic" {
+		sq, err := node.CompileSymbolic(entry.DB)
+		if err != nil {
+			return resolved{}, exprCompileError(req.Expr, entry.DB, err)
+		}
+		t = symbolicTarget(entry, sq)
+	} else {
+		plan, err := node.Compile(entry.DB)
+		if err != nil {
+			return resolved{}, exprCompileError(req.Expr, entry.DB, err)
+		}
+		t = planTarget(entry, opts, query.Canonicalize(plan))
+	}
+	return resolved{t.key, body, func(w http.ResponseWriter, r *http.Request) { s.serveExpr(w, r, &req, t) }}, nil
+}
+
+func (s *Server) serveExpr(w http.ResponseWriter, r *http.Request, req *exprRequest, t target) {
 	mode := req.Mode
 	if mode == "" {
 		mode = "volume"
 	}
 	start := time.Now()
-	resp := exprResponse{Database: entry.ID, Mode: mode, TraceID: traceID(r.Context())}
-
-	if mode == "symbolic" {
-		sq, err := node.CompileSymbolic(entry.DB)
-		if err != nil {
-			s.exprCompileError(w, "expr", req.Expr, entry.DB, err)
-			return
-		}
-		if !s.execSymbolic(w, r, "expr", entry, sq, &resp) {
+	resp := exprResponse{Database: t.entry.ID, Mode: mode, TraceID: traceID(r.Context())}
+	if t.sym != nil {
+		if !s.execSymbolic(w, r, "expr", t, &resp) {
 			return
 		}
 	} else {
-		plan, err := node.Compile(entry.DB)
-		if err != nil {
-			s.exprCompileError(w, "expr", req.Expr, entry.DB, err)
-			return
-		}
-		cp := query.Canonicalize(plan)
-		resp.Columns = cp.Plan.OutVars
-		resp.CanonicalKey = cp.Key
-		resp.Empty = cp.Empty()
 		x := planExec{mode: mode, n: req.N, workers: req.Workers, seed: req.Seed}
-		if !s.execPlanMode(w, r, "expr", entry, cp, opts, x, &resp) {
+		if !s.execPlanMode(w, r, "expr", t, x, &resp) {
 			return
 		}
 	}
@@ -307,10 +308,13 @@ type planExec struct {
 // /v1/sql, so both surfaces hit the same prepared-plan cache entries
 // and report the same cache labels. Returns false after writing an
 // error response.
-func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint string, entry *runtime.DatabaseEntry, cp *query.CanonicalPlan, opts cdb.Options, p planExec, resp *exprResponse) bool {
+func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint string, t target, p planExec, resp *exprResponse) bool {
+	cp := t.plan
+	resp.Columns = cp.Plan.OutVars
+	resp.CanonicalKey = cp.Key
+	resp.Empty = cp.Empty()
 	if p.mode == "explain" {
-		key := runtime.PlanKey(entry.ID, cp.Key, opts.CacheKey())
-		resp.Cache = peekLabel(s.rt, key)
+		resp.Cache = peekLabel(s.rt, t.key)
 		resp.Plan = cp.Plan.Describe()
 		dkeys := cp.DisjunctKeys()
 		for i, d := range cp.Plan.Disjuncts {
@@ -324,13 +328,13 @@ func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint s
 				Constraints:  d.Poly.Rows(),
 				ExVars:       d.ExVars,
 				CanonicalKey: dkeys[i],
-				Cache:        peekLabel(s.rt, runtime.PlanKey(entry.ID, dkeys[i], opts.CacheKey())),
+				Cache:        peekLabel(s.rt, runtime.PlanKey(t.entry.ID, dkeys[i], t.opts.CacheKey())),
 			})
 		}
 		return true
 	}
 
-	x, err := s.rt.Exec(entry, cp, opts, nil)
+	x, err := t.exec(s)
 	if err != nil {
 		s.writeError(w, endpoint, http.StatusUnprocessableEntity, err)
 		return false
@@ -350,20 +354,12 @@ func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint s
 		}
 		resp.Volume = &v
 	case "sample":
-		n := p.n
-		if n <= 0 {
-			n = 1
-		}
-		if n > s.cfg.MaxSamples {
-			s.writeError(w, endpoint, http.StatusBadRequest,
-				fmt.Errorf("n=%d exceeds the per-request cap %d", n, s.cfg.MaxSamples))
+		n, err := s.sampleCount(p.n, 1)
+		if err != nil {
+			s.writeError(w, endpoint, http.StatusBadRequest, err)
 			return false
 		}
-		workers := p.workers
-		if workers <= 0 {
-			workers = s.cfg.DefaultWorkers
-		}
-		pts, coalesced, err := x.SampleN(r.Context(), n, workers, p.seed)
+		pts, coalesced, err := x.SampleN(r.Context(), n, s.workersOr(p.workers), p.seed)
 		if err != nil {
 			s.writeError(w, endpoint, http.StatusInternalServerError, err)
 			return false
@@ -385,8 +381,9 @@ func (s *Server) execPlanMode(w http.ResponseWriter, r *http.Request, endpoint s
 // irrelevant — symbolic evaluation is exact, so every configuration
 // shares one cache entry per canonical plan. Returns false after
 // writing an error response.
-func (s *Server) execSymbolic(w http.ResponseWriter, r *http.Request, endpoint string, entry *runtime.DatabaseEntry, sq *query.SymbolicQuery, resp *exprResponse) bool {
-	se, _, hit, err := s.rt.Symbolic(r.Context(), entry, sq)
+func (s *Server) execSymbolic(w http.ResponseWriter, r *http.Request, endpoint string, t target, resp *exprResponse) bool {
+	sq := t.sym
+	se, _, hit, err := s.rt.Symbolic(r.Context(), t.entry, sq)
 	resp.Columns = sq.OutVars
 	resp.CanonicalKey = sq.Key
 	resp.Cache = cacheLabel(hit)

@@ -132,17 +132,6 @@ func (s *Server) writeError(w http.ResponseWriter, endpoint string, status int, 
 // cancelled the request before the response was produced.
 const statusClientClosedRequest = 499
 
-func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decode request: " + err.Error()})
-		return false
-	}
-	return true
-}
-
 // --- POST /v1/databases -------------------------------------------------
 
 type registerRequest struct {
@@ -192,8 +181,8 @@ func describeDatabase(e *runtime.DatabaseEntry, created bool) databaseResponse {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if !decodeBody(w, r, int64(s.cfg.MaxSourceBytes), &req) {
-		s.metrics.IncError("databases")
+	if _, err := readJSON(w, r, int64(s.cfg.MaxSourceBytes), &req); err != nil {
+		s.writeRejected(w, "databases", err)
 		return
 	}
 	if req.Source == "" {
@@ -258,18 +247,6 @@ func (s *Server) handleGetDatabase(w http.ResponseWriter, r *http.Request) {
 // database — a 404, like an unknown database id.
 var errTargetNotFound = runtime.ErrTargetNotFound
 
-// namedExec resolves a name-addressed request (/v1/sample, /v1/volume,
-// /v1/reconstruct) to the canonical plan db.Rel(name) compiles — the
-// key its routing hashes — and resolves the plan against the prepared
-// cache.
-func (s *Server) namedExec(e *runtime.DatabaseEntry, relName, queryName string, opts cdb.Options) (*runtime.Exec, error) {
-	cp, err := e.Target(relName, queryName)
-	if err != nil {
-		return nil, err
-	}
-	return s.rt.Exec(e, cp, opts, nil)
-}
-
 // needsQueryEndpoint is the 400 guard of /v1/sample and /v1/volume:
 // they serve plans with a prepared sampler — ∃ plans within the
 // elimination budget included — and an ∃ plan past the budget (whose
@@ -321,37 +298,28 @@ type sampleResponse struct {
 	Points    []cdb.Vector `json:"points,omitempty"`
 }
 
-func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
+func (s *Server) resolveSample(w http.ResponseWriter, r *http.Request) (resolved, error) {
 	var req sampleRequest
-	if !decodeBody(w, r, 1<<16, &req) {
-		s.metrics.IncError("sample")
-		return
+	body, err := readJSON(w, r, 1<<16, &req)
+	if err != nil {
+		return resolved{}, err
 	}
-	entry, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		s.writeError(w, "sample", http.StatusNotFound, fmt.Errorf("database %q not registered", req.Database))
-		return
+	t, err := s.namedTarget(req.Database, req.Relation, req.Query, req.Options)
+	if err != nil {
+		return resolved{}, err
 	}
-	opts, err := req.Options.toOptions()
+	return resolved{t.key, body, func(w http.ResponseWriter, r *http.Request) { s.serveSample(w, r, &req, t) }}, nil
+}
+
+func (s *Server) serveSample(w http.ResponseWriter, r *http.Request, req *sampleRequest, t target) {
+	n, err := s.sampleCount(req.N, 1)
 	if err != nil {
 		s.writeError(w, "sample", http.StatusBadRequest, err)
 		return
 	}
-	n := req.N
-	if n <= 0 {
-		n = 1
-	}
-	if n > s.cfg.MaxSamples {
-		s.writeError(w, "sample", http.StatusBadRequest,
-			fmt.Errorf("n=%d exceeds the per-request cap %d", n, s.cfg.MaxSamples))
-		return
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.DefaultWorkers
-	}
+	workers := s.workersOr(req.Workers)
 	start := time.Now()
-	x, err := s.namedExec(entry, req.Relation, req.Query, opts)
+	x, err := t.exec(s)
 	if err == nil {
 		err = needsQueryEndpoint(x)
 	}
@@ -366,7 +334,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.SamplesServed.Add(int64(len(pts)))
 	resp := sampleResponse{
-		Database:  entry.ID,
+		Database:  t.entry.ID,
 		Target:    firstNonEmpty(req.Relation, req.Query),
 		N:         n,
 		Workers:   workers,
@@ -447,30 +415,28 @@ type volumeResponse struct {
 	Spans     *spanJSON `json:"spans,omitempty"`
 }
 
-func (s *Server) handleVolume(w http.ResponseWriter, r *http.Request) {
+func (s *Server) resolveVolume(w http.ResponseWriter, r *http.Request) (resolved, error) {
 	var req volumeRequest
-	if !decodeBody(w, r, 1<<16, &req) {
-		s.metrics.IncError("volume")
-		return
-	}
-	entry, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		s.writeError(w, "volume", http.StatusNotFound, fmt.Errorf("database %q not registered", req.Database))
-		return
-	}
-	opts, err := req.Options.toOptions()
+	body, err := readJSON(w, r, 1<<16, &req)
 	if err != nil {
-		s.writeError(w, "volume", http.StatusBadRequest, err)
-		return
+		return resolved{}, err
 	}
+	t, err := s.namedTarget(req.Database, req.Relation, req.Query, req.Options)
+	if err != nil {
+		return resolved{}, err
+	}
+	return resolved{t.key, body, func(w http.ResponseWriter, r *http.Request) { s.serveVolume(w, r, &req, t) }}, nil
+}
+
+func (s *Server) serveVolume(w http.ResponseWriter, r *http.Request, req *volumeRequest, t target) {
 	if req.MedianK > s.cfg.MaxMedianK {
 		s.writeError(w, "volume", http.StatusBadRequest,
 			fmt.Errorf("median_k=%d exceeds the cap %d", req.MedianK, s.cfg.MaxMedianK))
 		return
 	}
 	start := time.Now()
-	resp := volumeResponse{Database: entry.ID, Target: firstNonEmpty(req.Relation, req.Query), TraceID: traceID(r.Context())}
-	x, err := s.namedExec(entry, req.Relation, req.Query, opts)
+	resp := volumeResponse{Database: t.entry.ID, Target: firstNonEmpty(req.Relation, req.Query), TraceID: traceID(r.Context())}
+	x, err := t.exec(s)
 	if err == nil {
 		err = needsQueryEndpoint(x)
 	}
@@ -490,6 +456,7 @@ func (s *Server) handleVolume(w http.ResponseWriter, r *http.Request) {
 		}
 		rel, err := relation(resp.Target)
 		if err == nil {
+			opts := t.opts
 			opts.Interrupt = r.Context().Err
 			resp.Volume, err = cdb.MedianVolume(rel, req.MedianK, req.Seed, opts)
 		}
@@ -553,33 +520,44 @@ func hullVertices(h *cdb.Hull) []cdb.Vector {
 	return pts
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// resolveQuery resolves a named query to the key its evaluation caches
+// under: the plan key /v1/sample resolves the same query to, or the
+// symbolic key in symbolic mode, so one plan has one owner whichever
+// endpoint asks for it.
+func (s *Server) resolveQuery(w http.ResponseWriter, r *http.Request) (resolved, error) {
 	var req queryRequest
-	if !decodeBody(w, r, 1<<16, &req) {
-		s.metrics.IncError("query")
-		return
+	body, err := readJSON(w, r, 1<<16, &req)
+	if err != nil {
+		return resolved{}, err
 	}
-	entry, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		s.writeError(w, "query", http.StatusNotFound, fmt.Errorf("database %q not registered", req.Database))
-		return
+	entry, opts, err := s.lookup(req.Database, req.Options)
+	if err != nil {
+		return resolved{}, err
 	}
 	if _, ok := entry.DB.Query(req.Query); !ok {
-		s.writeError(w, "query", http.StatusNotFound, fmt.Errorf("query %q not found in database %q", req.Query, entry.ID))
-		return
+		return resolved{}, reject(http.StatusNotFound, fmt.Errorf("query %q not found in database %q", req.Query, entry.ID))
 	}
-	opts, err := req.Options.toOptions()
+	var t target
+	if req.Mode == "symbolic" {
+		sq, err := query.NewRel(req.Query).CompileSymbolic(entry.DB)
+		if err != nil {
+			return resolved{}, reject(http.StatusInternalServerError, err)
+		}
+		t = symbolicTarget(entry, sq)
+	} else {
+		cp, err := entry.Target("", req.Query)
+		if err != nil {
+			return resolved{}, reject(http.StatusInternalServerError, err)
+		}
+		t = planTarget(entry, opts, cp)
+	}
+	return resolved{t.key, body, func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, &req, t) }}, nil
+}
+
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *queryRequest, t target) {
+	n, err := s.sampleCount(req.N, 100)
 	if err != nil {
 		s.writeError(w, "query", http.StatusBadRequest, err)
-		return
-	}
-	n := req.N
-	if n <= 0 {
-		n = 100
-	}
-	if n > s.cfg.MaxSamples {
-		s.writeError(w, "query", http.StatusBadRequest,
-			fmt.Errorf("n=%d exceeds the per-request cap %d", n, s.cfg.MaxSamples))
 		return
 	}
 	mode := req.Mode
@@ -587,18 +565,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		mode = "volume"
 	}
 	start := time.Now()
-	resp := queryResponse{Database: entry.ID, Query: req.Query, Mode: mode}
+	resp := queryResponse{Database: t.entry.ID, Query: req.Query, Mode: mode}
 	switch mode {
 	case "plan":
 		// Plan inspection prepares no geometry, like /v1/expr's explain.
-		var cp *query.CanonicalPlan
-		if cp, err = entry.Target("", req.Query); err == nil {
-			resp.Plan = cp.Plan.Describe()
-		}
+		resp.Plan = t.plan.Plan.Describe()
 	case "symbolic":
-		resp.Source, err = s.querySource(r.Context(), entry, req.Query)
+		resp.Source, err = s.querySource(r.Context(), t, req.Query)
 	case "volume", "sample", "reconstruct":
-		err = s.queryExec(r.Context(), entry, req, mode, n, opts, &resp)
+		err = s.queryExec(r.Context(), t, req, mode, n, &resp)
 	default:
 		s.writeError(w, "query", http.StatusBadRequest,
 			fmt.Errorf("unknown mode %q (want volume, sample, plan, symbolic or reconstruct)", mode))
@@ -616,8 +591,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // executor, as the name-addressed endpoints do: volume under the
 // request seed like /v1/volume, sample on the default worker count like
 // /v1/sample, and reconstruct like /v1/reconstruct.
-func (s *Server) queryExec(ctx context.Context, entry *runtime.DatabaseEntry, req queryRequest, mode string, n int, opts cdb.Options, resp *queryResponse) error {
-	x, err := s.namedExec(entry, "", req.Query, opts)
+func (s *Server) queryExec(ctx context.Context, t target, req *queryRequest, mode string, n int, resp *queryResponse) error {
+	x, err := t.exec(s)
 	if err != nil {
 		return err
 	}
@@ -650,14 +625,10 @@ func (s *Server) queryExec(ctx context.Context, entry *runtime.DatabaseEntry, re
 // querySource evaluates a named query through the prepared-symbolic
 // cache, as /v1/expr's symbolic mode does, and renders the eliminated
 // relation as a declaration named after the query.
-func (s *Server) querySource(ctx context.Context, entry *runtime.DatabaseEntry, name string) (string, error) {
-	sq, err := query.NewRel(name).CompileSymbolic(entry.DB)
-	if err != nil {
-		return "", err
-	}
-	se, _, _, err := s.rt.Symbolic(ctx, entry, sq)
+func (s *Server) querySource(ctx context.Context, t target, name string) (string, error) {
+	se, _, _, err := s.rt.Symbolic(ctx, t.entry, t.sym)
 	if errors.Is(err, runtime.ErrEmptyExpr) {
-		return (&constraint.Relation{Name: name, Vars: sq.OutVars}).Source(), nil
+		return (&constraint.Relation{Name: name, Vars: t.sym.OutVars}).Source(), nil
 	}
 	if err != nil {
 		return "", err
@@ -690,35 +661,29 @@ type reconstructResponse struct {
 	ElapsedMS   float64    `json:"elapsed_ms"`
 }
 
-func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
+func (s *Server) resolveReconstruct(w http.ResponseWriter, r *http.Request) (resolved, error) {
 	var req reconstructRequest
-	if !decodeBody(w, r, 1<<16, &req) {
-		s.metrics.IncError("reconstruct")
-		return
+	body, err := readJSON(w, r, 1<<16, &req)
+	if err != nil {
+		return resolved{}, err
 	}
-	entry, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		s.writeError(w, "reconstruct", http.StatusNotFound, fmt.Errorf("database %q not registered", req.Database))
-		return
+	t, err := s.namedTarget(req.Database, req.Relation, req.Query, req.Options)
+	if err != nil {
+		return resolved{}, err
 	}
-	opts, err := req.Options.toOptions()
+	return resolved{t.key, body, func(w http.ResponseWriter, r *http.Request) { s.serveReconstruct(w, r, &req, t) }}, nil
+}
+
+func (s *Server) serveReconstruct(w http.ResponseWriter, r *http.Request, req *reconstructRequest, t target) {
+	n, err := s.sampleCount(req.N, 200)
 	if err != nil {
 		s.writeError(w, "reconstruct", http.StatusBadRequest, err)
 		return
 	}
-	n := req.N
-	if n <= 0 {
-		n = 200
-	}
-	if n > s.cfg.MaxSamples {
-		s.writeError(w, "reconstruct", http.StatusBadRequest,
-			fmt.Errorf("n=%d exceeds the per-request cap %d", n, s.cfg.MaxSamples))
-		return
-	}
 	start := time.Now()
-	resp := reconstructResponse{Database: entry.ID, Target: firstNonEmpty(req.Relation, req.Query), N: n, Seed: req.Seed}
+	resp := reconstructResponse{Database: t.entry.ID, Target: firstNonEmpty(req.Relation, req.Query), N: n, Seed: req.Seed}
 
-	x, err := s.namedExec(entry, req.Relation, req.Query, opts)
+	x, err := t.exec(s)
 	if err != nil {
 		s.writeError(w, "reconstruct", http.StatusBadRequest, err)
 		return

@@ -44,6 +44,12 @@ func TestTraceHeaderAndSpans(t *testing.T) {
 	if !spanTreeHas(out.Spans, "sample.batch") {
 		t.Fatalf("span tree missing sample.batch: %+v", out.Spans)
 	}
+	// The resolve step (decode, name resolution) is the root's first
+	// stage, keyed by the plan key the request routes on.
+	if c := out.Spans.Children; len(c) == 0 || c[0].Name != "resolve" ||
+		c[0].Key != planKeyOf(t, id, testProgram, "S", fastOpts) {
+		t.Fatalf("first stage is not resolve keyed by S's plan key: %+v", out.Spans)
+	}
 
 	// Without the flag the id still appears but the tree is omitted.
 	resp, body = postJSON(t, ts.URL+"/v1/sample", sampleRequest{

@@ -10,9 +10,12 @@
 // samplers (including negative entries for empty time slices and the
 // prepared-alibi cache) and the bounded worker pool with request
 // coalescing — lives in the shared internal/runtime package, the same
-// runtime behind the cdb.DB handle. Handlers here only decode requests,
-// call into the runtime with the request's context (cancelled clients
-// abort their walks mid-epoch) and encode responses plus metrics.
+// runtime behind the cdb.DB handle. Each data-plane endpoint here is a
+// resolve step, which decodes the request and compiles it to the cache
+// key it names (cluster mode routes on that key), and a serving half,
+// which calls into the runtime with the request's context (cancelled
+// clients abort their walks mid-epoch) and encodes the response plus
+// metrics.
 //
 // Sampling is deterministic per request: the preparation seed is derived
 // from the sampler's cache key and the response depends only on
@@ -182,27 +185,27 @@ func (s *Server) Runtime() *runtime.Runtime { return s.rt }
 // instrument, which owns the per-endpoint request count and latency
 // metrics — handlers themselves only report errors.
 func (s *Server) Handler() http.Handler {
-	// Data-plane endpoints stack instrument → admission → routing →
-	// handler: a shed request is counted but never read past its
-	// headers; a forwarded request never touches the local runtime.
-	// With no cluster peers and no admission config both middle layers
-	// collapse to the bare handler.
-	routed := func(endpoint string, keyOf routeKeyFunc, h http.HandlerFunc) http.HandlerFunc {
-		return s.instrument(endpoint, s.admitted(endpoint, s.routed(endpoint, keyOf, h)))
+	// Data-plane endpoints stack instrument → admission → resolve,
+	// routing and serving: a shed request is counted but never read
+	// past its headers; a forwarded request is resolved but never
+	// touches the local prepared caches. With no cluster peers there is
+	// no routing step, and with no admission config no admission layer.
+	routed := func(endpoint string, resolve resolveFunc) http.HandlerFunc {
+		return s.instrument(endpoint, s.admitted(endpoint, s.routed(endpoint, resolve)))
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/databases", s.instrument("databases", s.admitted("databases", s.handleRegister)))
 	mux.HandleFunc("GET /v1/databases", s.instrument("databases", s.handleListDatabases))
 	mux.HandleFunc("GET /v1/databases/{id}", s.instrument("databases", s.handleGetDatabase))
-	mux.HandleFunc("POST /v1/sample", routed("sample", routeKeySample, s.handleSample))
-	mux.HandleFunc("POST /v1/volume", routed("volume", routeKeyVolume, s.handleVolume))
-	mux.HandleFunc("POST /v1/query", routed("query", routeKeyQuery, s.handleQuery))
-	mux.HandleFunc("POST /v1/expr", routed("expr", routeKeyExpr, s.handleExpr))
-	mux.HandleFunc("POST /v1/sql", routed("sql", routeKeySQL, s.handleSQL))
-	mux.HandleFunc("POST /v1/reconstruct", routed("reconstruct", routeKeyReconstruct, s.handleReconstruct))
-	mux.HandleFunc("POST /v1/spacetime/slice", routed("spacetime_slice", routeKeySpacetimeSlice, s.handleSpacetimeSlice))
-	mux.HandleFunc("POST /v1/spacetime/sample", routed("spacetime_sample", routeKeySpacetimeSample, s.handleSpacetimeSample))
-	mux.HandleFunc("POST /v1/spacetime/alibi", routed("spacetime_alibi", routeKeySpacetimeAlibi, s.handleSpacetimeAlibi))
+	mux.HandleFunc("POST /v1/sample", routed("sample", s.resolveSample))
+	mux.HandleFunc("POST /v1/volume", routed("volume", s.resolveVolume))
+	mux.HandleFunc("POST /v1/query", routed("query", s.resolveQuery))
+	mux.HandleFunc("POST /v1/expr", routed("expr", s.resolveExpr))
+	mux.HandleFunc("POST /v1/sql", routed("sql", s.resolveSQL))
+	mux.HandleFunc("POST /v1/reconstruct", routed("reconstruct", s.resolveReconstruct))
+	mux.HandleFunc("POST /v1/spacetime/slice", routed("spacetime_slice", s.resolveSpacetimeSlice))
+	mux.HandleFunc("POST /v1/spacetime/sample", routed("spacetime_sample", s.resolveSpacetimeSample))
+	mux.HandleFunc("POST /v1/spacetime/alibi", routed("spacetime_alibi", s.resolveSpacetimeAlibi))
 	mux.HandleFunc("GET /v1/audit", s.instrument("audit", s.handleAuditStatus))
 	mux.HandleFunc("POST /v1/audit", s.instrument("audit", s.handleAuditRun))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -325,6 +325,9 @@ func TestQueryEndpointModes(t *testing.T) {
 	if !strings.Contains(out.Plan, "projection generator") {
 		t.Fatalf("plan missing projection generator: %q", out.Plan)
 	}
+	if !strings.Contains(out.Plan, "Fourier–Motzkin elimination, prepared warm; Algorithm 2 per call only past the elimination budget") {
+		t.Fatalf("plan does not name both ∃ routes: %q", out.Plan)
+	}
 
 	// volume: Q(x) = ∃y S(x,y) is the interval [0,1].
 	resp, body = postJSON(t, ts.URL+"/v1/query", queryRequest{Database: "test", Query: "Q", Mode: "volume", Seed: 42, Options: fastOpts})
@@ -409,6 +412,13 @@ func TestQuantifierFreeQueryUsesPreparedCache(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "/v1/query") {
 		t.Fatalf("error should point at /v1/query: %s", body)
+	}
+	// Its explain names both ∃ routes, and the cached verdict says which
+	// one it takes: Algorithm 2, past the budget.
+	_, eout, body := postExpr(t, ts.URL, exprRequest{Database: "test", Expr: rel("Far"), Mode: "explain"})
+	if eout.Cache != "negative" || len(eout.Disjuncts) != 1 || eout.Disjuncts[0].Kind != "projection" ||
+		!strings.Contains(eout.Plan, "Algorithm 2 per call only past the elimination budget") {
+		t.Fatalf("explain of the over-budget ∃ query: %s", body)
 	}
 
 	// One within the budget is prepared from its eliminated relation

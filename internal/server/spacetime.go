@@ -65,34 +65,33 @@ type spacetimeSliceResponse struct {
 	Points    []cdb.Vector `json:"points,omitempty"`
 }
 
-func (s *Server) handleSpacetimeSlice(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "spacetime_slice"
+func (s *Server) resolveSpacetimeSlice(w http.ResponseWriter, r *http.Request) (resolved, error) {
 	var req spacetimeSliceRequest
-	if !decodeBody(w, r, 1<<16, &req) {
-		s.metrics.IncError(endpoint)
-		return
-	}
-	entry, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Errorf("database %q not registered", req.Database))
-		return
-	}
-	opts, err := req.Options.toOptions()
+	body, err := readJSON(w, r, 1<<16, &req)
 	if err != nil {
-		s.writeError(w, endpoint, http.StatusBadRequest, err)
-		return
+		return resolved{}, err
 	}
+	entry, opts, err := s.lookup(req.Database, req.Options)
+	if err != nil {
+		return resolved{}, err
+	}
+	t := target{entry: entry, opts: opts, key: runtime.SliceKey(entry.ID, req.Relation, req.T0, opts.CacheKey())}
+	return resolved{t.key, body, func(w http.ResponseWriter, r *http.Request) { s.serveSpacetimeSlice(w, r, &req, t) }}, nil
+}
+
+func (s *Server) serveSpacetimeSlice(w http.ResponseWriter, r *http.Request, req *spacetimeSliceRequest, t target) {
+	const endpoint = "spacetime_slice"
 	mode := req.Mode
 	if mode == "" {
 		mode = "sample"
 	}
 	start := time.Now()
 	resp := spacetimeSliceResponse{
-		Database: entry.ID, Relation: req.Relation, T0: req.T0, Mode: mode, Seed: req.Seed,
+		Database: t.entry.ID, Relation: req.Relation, T0: req.T0, Mode: mode, Seed: req.Seed,
 	}
 	switch mode {
 	case "volume":
-		ps, _, hit, err := s.rt.PreparedSlice(entry, req.Relation, req.T0, opts)
+		ps, _, hit, err := s.rt.PreparedSlice(t.entry, req.Relation, req.T0, t.opts)
 		if errors.Is(err, errEmptySlice) {
 			zero := 0.0
 			resp.Empty, resp.Volume = true, &zero
@@ -111,20 +110,13 @@ func (s *Server) handleSpacetimeSlice(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Volume, resp.Cache = &v, cacheLabel(hit)
 	case "sample":
-		n := req.N
-		if n <= 0 {
-			n = 1
-		}
-		if n > s.cfg.MaxSamples {
-			s.writeError(w, endpoint, http.StatusBadRequest,
-				fmt.Errorf("n=%d exceeds the per-request cap %d", n, s.cfg.MaxSamples))
+		n, err := s.sampleCount(req.N, 1)
+		if err != nil {
+			s.writeError(w, endpoint, http.StatusBadRequest, err)
 			return
 		}
-		workers := req.Workers
-		if workers <= 0 {
-			workers = s.cfg.DefaultWorkers
-		}
-		ps, key, hit, err := s.rt.PreparedSlice(entry, req.Relation, req.T0, opts)
+		workers := s.workersOr(req.Workers)
+		ps, key, hit, err := s.rt.PreparedSlice(t.entry, req.Relation, req.T0, t.opts)
 		if err != nil {
 			s.writeError(w, endpoint, http.StatusBadRequest, err)
 			return
@@ -169,51 +161,52 @@ type spacetimeSampleRequest struct {
 	Stream  bool         `json:"stream,omitempty"`
 }
 
-func (s *Server) handleSpacetimeSample(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "spacetime_sample"
+// resolveSpacetimeSample keys a windowed draw by its window; with no
+// window the request shares /v1/sample's plan key and cache entry.
+func (s *Server) resolveSpacetimeSample(w http.ResponseWriter, r *http.Request) (resolved, error) {
 	var req spacetimeSampleRequest
-	if !decodeBody(w, r, 1<<16, &req) {
-		s.metrics.IncError(endpoint)
-		return
+	body, err := readJSON(w, r, 1<<16, &req)
+	if err != nil {
+		return resolved{}, err
 	}
-	entry, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Errorf("database %q not registered", req.Database))
-		return
+	entry, opts, err := s.lookup(req.Database, req.Options)
+	if err != nil {
+		return resolved{}, err
 	}
-	opts, err := req.Options.toOptions()
+	var t target
+	switch {
+	case (req.T0 == nil) != (req.T1 == nil):
+		return resolved{}, reject(http.StatusBadRequest, errors.New("t0 and t1 must be given together"))
+	case req.T0 != nil:
+		t = target{entry: entry, opts: opts, key: runtime.WindowKey(entry.ID, req.Relation, *req.T0, *req.T1, opts.CacheKey())}
+	default:
+		cp, err := entry.Target(req.Relation, "")
+		if err != nil {
+			return resolved{}, reject(http.StatusBadRequest, err)
+		}
+		t = planTarget(entry, opts, cp)
+	}
+	return resolved{t.key, body, func(w http.ResponseWriter, r *http.Request) { s.serveSpacetimeSample(w, r, &req, t) }}, nil
+}
+
+func (s *Server) serveSpacetimeSample(w http.ResponseWriter, r *http.Request, req *spacetimeSampleRequest, t target) {
+	const endpoint = "spacetime_sample"
+	n, err := s.sampleCount(req.N, 1)
 	if err != nil {
 		s.writeError(w, endpoint, http.StatusBadRequest, err)
 		return
 	}
-	if (req.T0 == nil) != (req.T1 == nil) {
-		s.writeError(w, endpoint, http.StatusBadRequest, errors.New("t0 and t1 must be given together"))
-		return
-	}
-	n := req.N
-	if n <= 0 {
-		n = 1
-	}
-	if n > s.cfg.MaxSamples {
-		s.writeError(w, endpoint, http.StatusBadRequest,
-			fmt.Errorf("n=%d exceeds the per-request cap %d", n, s.cfg.MaxSamples))
-		return
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.DefaultWorkers
-	}
+	workers := s.workersOr(req.Workers)
 	start := time.Now()
 	var (
 		ps  *cdb.PreparedSampler
 		key string
 		hit bool
 	)
-	if req.T0 != nil {
-		ps, key, hit, err = s.rt.PreparedWindow(entry, req.Relation, *req.T0, *req.T1, opts)
+	if t.plan != nil {
+		ps, key, hit, err = s.rt.PreparedPlan(t.entry, t.plan, t.opts)
 	} else {
-		// No window: share the cache entry with plain /v1/sample.
-		ps, key, hit, err = s.rt.PreparedFor(entry, req.Relation, "", opts)
+		ps, key, hit, err = s.rt.PreparedWindow(t.entry, req.Relation, *req.T0, *req.T1, t.opts)
 	}
 	if err != nil {
 		s.writeError(w, endpoint, http.StatusBadRequest, err)
@@ -226,7 +219,7 @@ func (s *Server) handleSpacetimeSample(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.SamplesServed.Add(int64(len(pts)))
 	resp := sampleResponse{
-		Database:  entry.ID,
+		Database:  t.entry.ID,
 		Target:    req.Relation,
 		N:         n,
 		Workers:   workers,
@@ -267,23 +260,22 @@ type alibiResponse struct {
 	spacetime.Report
 }
 
-func (s *Server) handleSpacetimeAlibi(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "spacetime_alibi"
+func (s *Server) resolveSpacetimeAlibi(w http.ResponseWriter, r *http.Request) (resolved, error) {
 	var req alibiRequest
-	if !decodeBody(w, r, 1<<16, &req) {
-		s.metrics.IncError(endpoint)
-		return
-	}
-	entry, ok := s.rt.Registry().Get(req.Database)
-	if !ok {
-		s.writeError(w, endpoint, http.StatusNotFound, fmt.Errorf("database %q not registered", req.Database))
-		return
-	}
-	opts, err := req.Options.toOptions()
+	body, err := readJSON(w, r, 1<<16, &req)
 	if err != nil {
-		s.writeError(w, endpoint, http.StatusBadRequest, err)
-		return
+		return resolved{}, err
 	}
+	entry, opts, err := s.lookup(req.Database, req.Options)
+	if err != nil {
+		return resolved{}, err
+	}
+	t := target{entry: entry, opts: opts, key: runtime.AlibiKey(entry.ID, req.A, req.B, req.T0, req.T1, opts.CacheKey())}
+	return resolved{t.key, body, func(w http.ResponseWriter, r *http.Request) { s.serveSpacetimeAlibi(w, r, &req, t) }}, nil
+}
+
+func (s *Server) serveSpacetimeAlibi(w http.ResponseWriter, r *http.Request, req *alibiRequest, t target) {
+	const endpoint = "spacetime_alibi"
 	if req.MedianK > s.cfg.MaxMedianK {
 		s.writeError(w, endpoint, http.StatusBadRequest,
 			fmt.Errorf("median_k=%d exceeds the cap %d", req.MedianK, s.cfg.MaxMedianK))
@@ -298,7 +290,7 @@ func (s *Server) handleSpacetimeAlibi(w http.ResponseWriter, r *http.Request) {
 	// The meet region, its Fourier–Motzkin intervals and the volume
 	// observable are prepared once per (db, a, b, t0, t1, options) in the
 	// shared cache; this request only binds its seed.
-	pa, hit, err := s.rt.PreparedAlibi(entry, req.A, req.B, req.T0, req.T1, opts)
+	pa, hit, err := s.rt.PreparedAlibi(t.entry, req.A, req.B, req.T0, req.T1, t.opts)
 	if err != nil {
 		s.writeError(w, endpoint, http.StatusBadRequest, err)
 		return
@@ -309,7 +301,7 @@ func (s *Server) handleSpacetimeAlibi(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, alibiResponse{
-		Database:  entry.ID,
+		Database:  t.entry.ID,
 		A:         req.A,
 		B:         req.B,
 		Cache:     cacheLabel(hit),

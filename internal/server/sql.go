@@ -21,7 +21,6 @@ import (
 
 	cdb "repro"
 	"repro/internal/query"
-	"repro/internal/runtime"
 	sqldialect "repro/internal/sql"
 )
 
@@ -37,17 +36,30 @@ type sqlResponse struct {
 	SymbolicKey string `json:"symbolic_key,omitempty"`
 }
 
-func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
+// sqlCall is a /v1/sql request resolved: the compiled statement, its
+// query-string parameters and its target — the canonical plan of a
+// SAMPLE, VOLUME(*) or EXPLAIN statement, or the symbolic query of a
+// bare SELECT, an EXPLAIN SYMBOLIC or a full first-order fallback.
+type sqlCall struct {
+	c       *sqldialect.Compiled
+	t       target
+	workers int
+	trace   bool
+}
+
+// resolveSQL reads and compiles the statement down to the exact cache
+// key serveSQL will touch: the plan key for sample, volume and explain
+// statements, the symbolic key for bare SELECTs, EXPLAIN SYMBOLIC and
+// full first-order fallbacks.
+func (s *Server) resolveSQL(w http.ResponseWriter, r *http.Request) (resolved, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSQLBytes))
 	if err != nil {
-		s.writeError(w, "sql", http.StatusBadRequest, fmt.Errorf("read statement: %w", err))
-		return
+		return resolved{}, reject(http.StatusBadRequest, fmt.Errorf("read statement: %w", err))
 	}
 	q := r.URL.Query()
 	entry, ok := s.rt.Registry().Get(q.Get("database"))
 	if !ok {
-		s.writeError(w, "sql", http.StatusNotFound, fmt.Errorf("database %q not registered (pass ?database=)", q.Get("database")))
-		return
+		return resolved{}, reject(http.StatusNotFound, fmt.Errorf("database %q not registered (pass ?database=)", q.Get("database")))
 	}
 	c, err := sqldialect.Compile(entry.DB, string(body))
 	if err != nil {
@@ -55,90 +67,81 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, query.ErrUnknownTarget) {
 			status = http.StatusNotFound
 		}
-		s.writeError(w, "sql", status, err)
-		return
+		return resolved{}, reject(status, err)
 	}
-	trace := false
+	call := &sqlCall{c: c}
 	if v := q.Get("trace"); v != "" {
-		trace, _ = strconv.ParseBool(v)
+		call.trace, _ = strconv.ParseBool(v)
 	}
-	workers := 0
 	if v := q.Get("workers"); v != "" {
-		workers, err = strconv.Atoi(v)
-		if err != nil || workers < 0 {
-			s.writeError(w, "sql", http.StatusBadRequest, fmt.Errorf("bad workers %q", v))
-			return
+		call.workers, err = strconv.Atoi(v)
+		if err != nil || call.workers < 0 {
+			return resolved{}, reject(http.StatusBadRequest, fmt.Errorf("bad workers %q", v))
 		}
 	}
-	// Statements carry no sampler options: every SQL request shares the
-	// DefaultOptions cache entries — the same fingerprint optionless
-	// /v1/expr requests and the cdb facade use.
-	opts := cdb.DefaultOptions()
-
-	start := time.Now()
-	resp := sqlResponse{
-		exprResponse: exprResponse{Database: entry.ID, Mode: string(c.Mode), TraceID: traceID(r.Context())},
-		Statement:    c.Source,
-	}
-
-	switch {
-	case c.Mode == sqldialect.ModeRelation:
-		// Bare SELECT: derive the quantifier-free relation symbolically —
-		// the only evaluation that returns the set itself.
+	symbolic := func() error {
 		sq, err := c.Node.CompileSymbolic(entry.DB)
 		if err != nil {
-			s.writeError(w, "sql", http.StatusUnprocessableEntity, err)
-			return
+			return reject(http.StatusUnprocessableEntity, err)
 		}
-		if !s.execSymbolic(w, r, "sql", entry, sq, &resp.exprResponse) {
-			return
-		}
-	case c.Mode == sqldialect.ModeExplain && c.ExplainSymbolic:
-		if !s.sqlExplainSymbolic(w, entry, c.Node, &resp) {
-			return
-		}
-	default:
-		plan, err := c.Node.Compile(entry.DB)
-		if err != nil {
-			if errors.Is(err, cdb.ErrUnsupportedQuery) {
-				// Full first-order statement outside the sampling fragment:
-				// VOLUME(*) still has an exact symbolic answer, and EXPLAIN
-				// degrades to the symbolic-only report — mirroring the
-				// facade's fallbacks. SAMPLE has no symbolic equivalent.
-				switch c.Mode {
-				case sqldialect.ModeVolume:
-					sq, serr := c.Node.CompileSymbolic(entry.DB)
-					if serr != nil {
-						s.writeError(w, "sql", http.StatusUnprocessableEntity, serr)
-						return
-					}
-					if !s.execSymbolic(w, r, "sql", entry, sq, &resp.exprResponse) {
-						return
-					}
-				case sqldialect.ModeExplain:
-					if !s.sqlExplainSymbolic(w, entry, c.Node, &resp) {
-						return
-					}
-				default:
-					s.writeError(w, "sql", http.StatusUnprocessableEntity,
-						fmt.Errorf("%w; SAMPLE needs an existential-positive statement", err))
-					return
-				}
-				break
-			}
-			s.writeError(w, "sql", http.StatusBadRequest, err)
-			return
-		}
-		cp := query.Canonicalize(plan)
-		resp.Columns = cp.Plan.OutVars
-		resp.CanonicalKey = cp.Key
-		resp.Empty = cp.Empty()
+		call.t = symbolicTarget(entry, sq)
+		return nil
+	}
+	if c.Mode == sqldialect.ModeRelation || (c.Mode == sqldialect.ModeExplain && c.ExplainSymbolic) {
+		// Bare SELECT derives the relation itself, which only symbolic
+		// evaluation returns; EXPLAIN SYMBOLIC reports that path.
+		err = symbolic()
+	} else if plan, perr := c.Node.Compile(entry.DB); perr == nil {
+		// Statements carry no sampler options: every SQL request shares
+		// the DefaultOptions cache entries — the same fingerprint
+		// optionless /v1/expr requests and the cdb facade use.
+		call.t = planTarget(entry, cdb.DefaultOptions(), query.Canonicalize(plan))
+	} else if errors.Is(perr, cdb.ErrUnsupportedQuery) && c.Mode != sqldialect.ModeSample {
+		// Full first-order statement outside the sampling fragment:
+		// VOLUME(*) still has an exact symbolic answer, and EXPLAIN
+		// degrades to the symbolic-only report — mirroring the facade's
+		// fallbacks.
+		err = symbolic()
+	} else if errors.Is(perr, cdb.ErrUnsupportedQuery) {
+		// SAMPLE has no symbolic equivalent.
+		err = reject(http.StatusUnprocessableEntity,
+			fmt.Errorf("%w; SAMPLE needs an existential-positive statement", perr))
+	} else {
+		err = reject(http.StatusBadRequest, perr)
+	}
+	if err != nil {
+		return resolved{}, err
+	}
+	return resolved{call.t.key, body, func(w http.ResponseWriter, r *http.Request) { s.serveSQL(w, r, call) }}, nil
+}
+
+func (s *Server) serveSQL(w http.ResponseWriter, r *http.Request, call *sqlCall) {
+	c, t := call.c, call.t
+	start := time.Now()
+	resp := sqlResponse{
+		exprResponse: exprResponse{Database: t.entry.ID, Mode: string(c.Mode), TraceID: traceID(r.Context())},
+		Statement:    c.Source,
+	}
+	switch {
+	case t.plan != nil:
 		var seed uint64
 		if c.SeedSet {
 			seed = c.Seed
 		}
-		x := planExec{mode: string(c.Mode), n: c.N, workers: workers, seed: seed}
-		if !s.execPlanMode(w, r, "sql", entry, cp, opts, x, &resp.exprResponse) {
+		x := planExec{mode: string(c.Mode), n: c.N, workers: call.workers, seed: seed}
+		if !s.execPlanMode(w, r, "sql", t, x, &resp.exprResponse) {
+			return
+		}
+	case c.Mode == sqldialect.ModeExplain:
+		// EXPLAIN SYMBOLIC (and plain EXPLAIN of a full first-order
+		// statement): report the symbolic cache key and its residency
+		// without evaluating anything.
+		resp.Columns = t.sym.OutVars
+		resp.CanonicalKey = t.sym.Key
+		resp.SymbolicKey = t.key
+		resp.Cache = residencyLabel(s.rt.SymbolicCache().Peek(t.key))
+	default:
+		if !s.execSymbolic(w, r, "sql", t, &resp.exprResponse) {
 			return
 		}
 	}
@@ -149,57 +152,6 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		resp.Columns = append([]string(nil), c.Columns...)
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	resp.Spans = traceSpans(r.Context(), trace)
+	resp.Spans = traceSpans(r.Context(), call.trace)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// sqlExplainSymbolic serves EXPLAIN SYMBOLIC (and plain EXPLAIN of a
-// full first-order statement): report the symbolic cache key and its
-// residency without evaluating anything.
-func (s *Server) sqlExplainSymbolic(w http.ResponseWriter, entry *runtime.DatabaseEntry, node *query.Node, resp *sqlResponse) bool {
-	sq, err := node.CompileSymbolic(entry.DB)
-	if err != nil {
-		s.writeError(w, "sql", http.StatusUnprocessableEntity, err)
-		return false
-	}
-	skey := runtime.SymbolicKey(entry.ID, sq.Key)
-	resp.Columns = sq.OutVars
-	resp.CanonicalKey = sq.Key
-	resp.SymbolicKey = skey
-	resp.Cache = residencyLabel(s.rt.SymbolicCache().Peek(skey))
-	return true
-}
-
-// routeKeySQL parses the statement and routes on the exact cache key
-// handleSQL will touch: the prepared-plan key for sample/volume/explain
-// statements, the symbolic key for bare SELECTs, EXPLAIN SYMBOLIC and
-// full first-order fallbacks. SQL requests carry no sampler options, so
-// the options fingerprint is DefaultOptions' — matching the handler.
-func routeKeySQL(s *Server, r *http.Request, body []byte) string {
-	e, ok := s.rt.Registry().Get(r.URL.Query().Get("database"))
-	if !ok {
-		return ""
-	}
-	c, err := sqldialect.Compile(e.DB, string(body))
-	if err != nil {
-		return ""
-	}
-	symbolic := func() string {
-		sq, err := c.Node.CompileSymbolic(e.DB)
-		if err != nil {
-			return ""
-		}
-		return runtime.SymbolicKey(e.ID, sq.Key)
-	}
-	if c.Mode == sqldialect.ModeRelation || (c.Mode == sqldialect.ModeExplain && c.ExplainSymbolic) {
-		return symbolic()
-	}
-	plan, err := c.Node.Compile(e.DB)
-	if err != nil {
-		if errors.Is(err, cdb.ErrUnsupportedQuery) {
-			return symbolic()
-		}
-		return ""
-	}
-	return runtime.PlanKey(e.ID, query.Canonicalize(plan).Key, cdb.DefaultOptions().CacheKey())
 }

@@ -394,12 +394,12 @@ func TestNamedQuerySurfacesAgree(t *testing.T) {
 		for _, opts := range []*OptionsJSON{nil, {Walk: "ball", Eps: 0.3}} {
 			qbody, _ := json.Marshal(queryRequest{Database: "main", Query: name, Mode: "sample", Options: opts})
 			sbody, _ := json.Marshal(sampleRequest{Database: "main", Query: name, Options: opts})
-			if qk, sk := routeKeyQuery(s, nil, qbody), routeKeySample(s, nil, sbody); qk == "" || qk != sk {
-				t.Errorf("%s: routeKeyQuery %q, routeKeySample %q", name, qk, sk)
+			if qk, sk := resolvedKey(s.resolveQuery, qbody), resolvedKey(s.resolveSample, sbody); qk == "" || qk != sk {
+				t.Errorf("%s: resolveQuery key %q, resolveSample key %q", name, qk, sk)
 			}
 			qbody, _ = json.Marshal(queryRequest{Database: "main", Query: name, Mode: "symbolic", Options: opts})
-			if qk, want := routeKeyQuery(s, nil, qbody), runtime.SymbolicKey("main", key); qk != want {
-				t.Errorf("%s: symbolic routeKeyQuery %q, want %q", name, qk, want)
+			if qk, want := resolvedKey(s.resolveQuery, qbody), runtime.SymbolicKey("main", key); qk != want {
+				t.Errorf("%s: symbolic resolveQuery key %q, want %q", name, qk, want)
 			}
 		}
 	}

@@ -251,4 +251,10 @@ func TestExplainEliminateStage(t *testing.T) {
 	if o := rep.Observed; rep.Cache != "negative" || o == nil || o.Evals != 1 || o.ElimRounds != 0 || o.AtomsIn != 40 || o.AtomsOut != 0 {
 		t.Fatalf("over-budget plan: cache %q, observed %+v; want a negative entry whose refused round ran nothing", rep.Cache, o)
 	}
+	// The rendered report names both ∃ routes beside the negative entry
+	// that says this plan takes Algorithm 2.
+	if out := rep.String(); !strings.Contains(out, "cache: negative") ||
+		!strings.Contains(out, "Fourier–Motzkin elimination, prepared warm; Algorithm 2 per call only past the elimination budget") {
+		t.Fatalf("over-budget plan's report:\n%s", out)
+	}
 }

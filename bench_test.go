@@ -46,10 +46,7 @@ func BenchmarkSampleConvex(b *testing.B) {
 	for _, d := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
 			rel := cdb.MustRelation("C", varNames(d), cdb.Cube(d, -1, 1))
-			gen, err := cdb.NewSampler(rel, 1, cdb.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
+			gen := newSampler(b, rel, 1, cdb.DefaultOptions())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := gen.Sample(); err != nil {
@@ -64,10 +61,7 @@ func BenchmarkSampleGridWalk(b *testing.B) {
 	rel := cdb.MustRelation("C", varNames(2), cdb.Cube(2, 0, 1))
 	opts := cdb.FaithfulOptions()
 	opts.WalkSteps = 1000
-	gen, err := cdb.NewSampler(rel, 1, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+	gen := newSampler(b, rel, 1, opts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := gen.Sample(); err != nil {
@@ -82,7 +76,7 @@ func BenchmarkVolumeEstimate(b *testing.B) {
 			rel := cdb.MustRelation("C", varNames(d), cdb.Cube(d, -1, 1))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cdb.EstimateVolume(rel, uint64(i), cdb.DefaultOptions()); err != nil {
+				if _, err := newSampler(b, rel, uint64(i), cdb.DefaultOptions()).Volume(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -29,11 +29,6 @@
 //     hulls (Algorithms 3–5).
 //   - DB.TimeSlice / DB.Alibi serve the moving-object workload (see
 //     motion.go).
-//
-// The package-level functions (NewSampler, EstimateVolume, SampleMany,
-// MedianVolume, ...) predate the handle and are deprecated in favour
-// of the DB methods — see the migration table in README.md. They keep
-// no state between calls: each one pays the full sampler setup.
 package cdb
 
 import (
@@ -142,26 +137,15 @@ func FaithfulOptions() Options {
 	return Options{Params: core.DefaultParams(), Walk: walk.GridWalk}
 }
 
-// NewSampler returns an Observable — almost-uniform generator plus
-// volume estimator — for a well-bounded generalized relation (a DFK
-// generator per tuple under the union combinator).
-//
-// Deprecated: NewSampler is not cancellable and pays the full
-// rounding/volume setup on every call. Open a DB handle and use
-// DB.Sampler(ctx, name) (cached, coalesced) or DB.Samples for a
-// streaming iterator.
-func NewSampler(rel *Relation, seed uint64, opts Options) (Observable, error) {
-	return core.NewRelationObservable(rel, rng.New(seed), opts)
-}
-
-// PreparedSampler is the cache-friendly form of NewSampler: the
-// expensive setup (per-tuple rounding, well-boundedness witnesses and
-// volume estimation) is paid once by PrepareSampler, and NewObservable
-// (or NewObservableCtx, for cancellable generators) then binds request
-// seeds to the warm geometry for the cost of a walker initialisation.
-// A PreparedSampler is safe for concurrent use — binds create
-// independent generators — and is what DB.Sampler returns and every
-// prepared-sampler cache stores.
+// PreparedSampler is a well-bounded relation's almost-uniform generator
+// and volume estimator (a DFK generator per tuple under the union
+// combinator), split in two: the expensive setup (per-tuple rounding,
+// well-boundedness witnesses and volume estimation) is paid once by
+// PrepareSampler, and NewObservable (or NewObservableCtx, for
+// cancellable generators) then binds request seeds to the warm geometry
+// for the cost of a walker initialisation. A PreparedSampler is safe
+// for concurrent use — binds create independent generators — and is
+// what DB.Sampler returns and every prepared-sampler cache stores.
 type PreparedSampler = runtime.Prepared
 
 // PrepareSampler runs the full sampler setup for a well-bounded relation
@@ -175,43 +159,6 @@ type PreparedSampler = runtime.Prepared
 // prepares them one after another, with the same result.
 func PrepareSampler(rel *Relation, prepSeed uint64, opts Options) (*PreparedSampler, error) {
 	return runtime.Prepare(rel, prepSeed, opts, nil)
-}
-
-// EstimateVolume is a convenience for NewSampler(...).Volume().
-//
-// Deprecated: use DB.Volume(ctx, name), which honours ctx and reuses
-// the handle's warm preparation.
-func EstimateVolume(rel *Relation, seed uint64, opts Options) (float64, error) {
-	obs, err := NewSampler(rel, seed, opts)
-	if err != nil {
-		return 0, err
-	}
-	return obs.Volume()
-}
-
-// MedianVolume amplifies the confidence of the volume estimate by
-// running k independent estimators in parallel and returning the median
-// — the classical powering that realises Definition 2.2's ln(1/δ)
-// complexity dependence. Each estimator is a cold NewSampler.
-//
-// Deprecated: prefer DB.Volume over a handle, or
-// PreparedSampler.MedianVolumeCtx for warm median amplification with a
-// context.
-func MedianVolume(rel *Relation, k int, baseSeed uint64, opts Options) (float64, error) {
-	return core.MedianVolume(func(seed uint64) (Observable, error) {
-		return NewSampler(rel, seed, opts)
-	}, k, baseSeed)
-}
-
-// SampleMany draws n almost-uniform samples using w parallel workers,
-// each with an independent cold NewSampler generator.
-//
-// Deprecated: use DB.SampleN(ctx, name, n), which honours ctx and draws
-// from the handle's warm preparation on its bounded worker pool.
-func SampleMany(rel *Relation, n, w int, baseSeed uint64, opts Options) ([]Vector, error) {
-	return core.SampleMany(func(seed uint64) (Observable, error) {
-		return NewSampler(rel, seed, opts)
-	}, n, w, baseSeed)
 }
 
 // ExactVolume computes the exact volume by fixed-dimension methods

@@ -10,6 +10,22 @@ import (
 	cdb "repro"
 )
 
+// newSampler is a one-off generator for rel, one full sampler setup:
+// PrepareSampler under seed, then a bind of the next seed, so the draws
+// do not reuse the random stream the preparation's volume pass walked.
+func newSampler(tb testing.TB, rel *cdb.Relation, seed uint64, opts cdb.Options) cdb.Observable {
+	tb.Helper()
+	ps, err := cdb.PrepareSampler(rel, seed, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen, err := ps.NewObservable(seed + 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return gen
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	db, err := cdb.Parse(`rel S(x, y) := { x >= 0, y >= 0, x + y <= 1 };`)
 	if err != nil {
@@ -19,10 +35,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if !ok {
 		t.Fatal("S missing")
 	}
-	gen, err := cdb.NewSampler(s, 42, cdb.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := newSampler(t, s, 42, cdb.DefaultOptions())
 	p, err := gen.Sample()
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +99,7 @@ func TestExactVsEstimated(t *testing.T) {
 	if math.Abs(exact-7) > 1e-7 {
 		t.Fatalf("exact = %g, want 7", exact)
 	}
-	est, err := cdb.EstimateVolume(rel, 7, cdb.DefaultOptions())
+	est, err := newSampler(t, rel, 7, cdb.DefaultOptions()).Volume()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +140,7 @@ func TestReconstructThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := db.Relation("S")
-	gen, err := cdb.NewSampler(s, 3, cdb.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := newSampler(t, s, 3, cdb.DefaultOptions())
 	h, err := cdb.ReconstructConvex(gen, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -148,10 +158,7 @@ func TestFaithfulOptionsGridWalk(t *testing.T) {
 	s, _ := db.Relation("S")
 	opts := cdb.FaithfulOptions()
 	opts.WalkSteps = 500
-	gen, err := cdb.NewSampler(s, 5, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := newSampler(t, s, 5, opts)
 	for i := 0; i < 50; i++ {
 		p, err := gen.Sample()
 		if err != nil {
@@ -188,18 +195,4 @@ func TestProjectAndReconstructFacade(t *testing.T) {
 func polytopeFromTuple(t cdb.Tuple) *cdb.Polytope {
 	a, b := t.System()
 	return &cdb.Polytope{A: a, B: b}
-}
-
-func TestDeprecatedWrappersErrorBehaviourUnchanged(t *testing.T) {
-	empty := &cdb.Relation{Name: "Empty", Vars: []string{"x"}}
-	if _, err := cdb.NewSampler(empty, 1, cdb.DefaultOptions()); err == nil {
-		t.Fatal("NewSampler on an empty relation must keep erroring")
-	}
-	if _, err := cdb.EstimateVolume(empty, 1, cdb.DefaultOptions()); err == nil {
-		t.Fatal("EstimateVolume on an empty relation must keep erroring")
-	}
-	rel := cdb.MustRelation("WarmBadK", []string{"x"}, cdb.Cube(1, 0, 1))
-	if _, err := cdb.MedianVolume(rel, 0, 1, cdb.DefaultOptions()); err == nil {
-		t.Fatal("MedianVolume must keep rejecting k <= 0")
-	}
 }

@@ -68,7 +68,13 @@ func main() {
 	}
 
 	if *samples > 0 {
-		gen, err := cdb.NewSampler(rel, *seed, cdb.DefaultOptions())
+		// The draws bind the seed after the preparation's, so they do not
+		// reuse the random stream the volume pass walked.
+		ps, err := cdb.PrepareSampler(rel, *seed, cdb.DefaultOptions())
+		if err != nil {
+			log.Fatal(err)
+		}
+		gen, err := ps.NewObservable(*seed + 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -328,4 +328,22 @@ rel Far(x, y, t) := { 0 <= t <= 10, 100 <= x <= 101, 0 <= y <= 1 };
 	if _, err := db.Alibi(ctx, "A", "B", 5, 1); err == nil {
 		t.Fatal("inverted window should error")
 	}
+
+	// Median-of-k means k independent preparations: on the single-tuple
+	// A/B meet region (exact volume 10 · 0.5 · 1 = 5) k = 3 must not
+	// return the one warm preparation-time estimate k = 1 returns.
+	one, err := db.AlibiSeeded(ctx, "A", "B", 0, 10, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, err := db.AlibiSeeded(ctx, "A", "B", 0, 10, 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if three.Volume == one.Volume {
+		t.Fatalf("k = 3 volume %v is the k = 1 estimate: the median amplified nothing", three.Volume)
+	}
+	if eps := cdb.DefaultOptions().Params.Eps; math.Abs(three.Volume-5) > eps*5 {
+		t.Fatalf("k = 3 volume %v, want (1±%g)·5", three.Volume, eps)
+	}
 }

@@ -22,11 +22,16 @@ func ExampleParse() {
 	// Output: 2 1 true
 }
 
-// ExampleNewSampler shows the two primitives of the paper: almost
-// uniform generation and relative volume estimation.
-func ExampleNewSampler() {
+// ExamplePrepareSampler shows the two primitives of the paper: almost
+// uniform generation and relative volume estimation. The setup is paid
+// once; every bound seed is an independent generator over it.
+func ExamplePrepareSampler() {
 	rel := cdb.MustRelation("R", []string{"x", "y"}, cdb.Cube(2, 0, 1))
-	gen, err := cdb.NewSampler(rel, 42, cdb.DefaultOptions())
+	ps, err := cdb.PrepareSampler(rel, 42, cdb.DefaultOptions())
+	if err != nil {
+		panic(err)
+	}
+	gen, err := ps.NewObservable(43)
 	if err != nil {
 		panic(err)
 	}

@@ -47,13 +47,18 @@ func main() {
 	opts := cdb.DefaultOptions()
 
 	// 1. Time slice: where could A have been at t = 2.5? The snapshot is
-	//    a convex region between A's first two fixes; sample it and
-	//    estimate its area.
+	//    a convex region between A's first two fixes; prepare its
+	//    sampler once (rounding, volume), then bind a generator to
+	//    sample it and read its area.
 	slice, err := cdb.TimeSlice(relA, 2.5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gen, err := cdb.NewSampler(slice, 1, opts)
+	ps, err := cdb.PrepareSampler(slice, 1, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	gen, err := ps.NewObservable(2)
 	if err != nil {
 		log.Fatal(err)
 	}

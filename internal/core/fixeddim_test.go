@@ -123,9 +123,19 @@ func TestGridEnumMembership(t *testing.T) {
 	}
 }
 
+// prepareAndBind is the one-off generator for rel: PrepareRelation and
+// Bind, both drawing from r.
+func prepareAndBind(rel *constraint.Relation, r *rng.RNG) (Observable, error) {
+	p, err := PrepareRelation(rel, r, fastOpts())
+	if err != nil {
+		return nil, err
+	}
+	return p.Bind(r)
+}
+
 func TestRelationObservableSingleTuple(t *testing.T) {
 	rel := constraint.MustRelation("R", []string{"x", "y"}, constraint.Cube(2, 0, 2))
-	obs, err := NewRelationObservable(rel, rng.New(7), fastOpts())
+	obs, err := prepareAndBind(rel, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +154,7 @@ func TestRelationObservableSingleTuple(t *testing.T) {
 func TestRelationObservableUnion(t *testing.T) {
 	rel := constraint.MustRelation("R", []string{"x"},
 		constraint.Cube(1, 0, 1), constraint.Cube(1, 5, 9))
-	obs, err := NewRelationObservable(rel, rng.New(8), fastOpts())
+	obs, err := prepareAndBind(rel, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +190,7 @@ func TestRelationObservablePrunesEmptyTuples(t *testing.T) {
 		constraint.NewAtom(linalg.Vector{1}, 0, false),
 		constraint.NewAtom(linalg.Vector{-1}, -1, false))
 	rel := constraint.MustRelation("R", []string{"x"}, constraint.Cube(1, 0, 1), emptyT)
-	obs, err := NewRelationObservable(rel, rng.New(9), fastOpts())
+	obs, err := prepareAndBind(rel, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +204,14 @@ func TestRelationObservableEmptyRejected(t *testing.T) {
 		constraint.NewAtom(linalg.Vector{1}, 0, false),
 		constraint.NewAtom(linalg.Vector{-1}, -1, false))
 	rel := constraint.MustRelation("E", []string{"x"}, emptyT)
-	if _, err := NewRelationObservable(rel, rng.New(10), fastOpts()); err == nil {
+	if _, err := PrepareRelation(rel, rng.New(10), fastOpts()); err == nil {
 		t.Error("empty relation must be rejected")
 	}
 }
 
 func TestTupleObservable(t *testing.T) {
-	c, err := NewTupleObservable(constraint.Cube(2, 0, 1), rng.New(11), fastOpts())
+	rel := constraint.MustRelation("T", []string{"x", "y"}, constraint.Cube(2, 0, 1))
+	c, err := prepareAndBind(rel, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +233,7 @@ func TestFixedDimVsRandomizedAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := NewRelationObservable(rel, rng.New(12), fastOpts())
+	obs, err := prepareAndBind(rel, rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}

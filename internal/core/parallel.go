@@ -3,80 +3,26 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/linalg"
 )
 
-// This file provides the two standard amplification constructions over
-// the paper's generators and estimators:
-//
-//   - MedianVolume powers an (ε, 1/4)-estimator into an (ε, δ)-estimator
-//     by taking the median of O(ln 1/δ) independent runs — the classical
-//     Chernoff/median argument behind the "ln(1/δ) bound on complexity is
-//     a classical assumption" remark in Section 2.
-//   - SampleMany fans independent generators out over goroutines; each
-//     worker owns its own generator (walk state is not shareable), which
-//     is exactly the independence the estimators assume.
+// This file fans independent generators out over goroutines; each
+// worker owns its own generator (walk state is not shareable), which is
+// exactly the independence the estimators assume. The median of
+// independent volume estimates is MedianVolume in prepared.go.
 
 // Factory builds an independent generator/estimator from a seed. Each
 // call must return a fresh instance with its own randomness.
 type Factory func(seed uint64) (Observable, error)
-
-// MedianVolume runs k independent volume estimators and returns the
-// median estimate. With per-run failure probability 1/4 (the default δ
-// of cheap runs), k = 18·ln(1/δ) pushes the failure probability of the
-// median below δ; callers pick k directly to keep budgets explicit.
-func MedianVolume(factory Factory, k int, baseSeed uint64) (float64, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("core: MedianVolume needs k >= 1")
-	}
-	type res struct {
-		v   float64
-		err error
-	}
-	results := make([]res, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			obs, err := factory(baseSeed + uint64(1000003*i))
-			if err != nil {
-				results[i] = res{err: err}
-				return
-			}
-			v, err := obs.Volume()
-			results[i] = res{v: v, err: err}
-		}(i)
-	}
-	wg.Wait()
-	vals := make([]float64, 0, k)
-	var firstErr error
-	for _, r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		vals = append(vals, r.v)
-	}
-	// The median is meaningful as long as a majority of runs succeeded.
-	if len(vals) <= k/2 {
-		return 0, fmt.Errorf("core: MedianVolume: %d/%d runs failed: %w", k-len(vals), k, firstErr)
-	}
-	sort.Float64s(vals)
-	return vals[len(vals)/2], nil
-}
 
 // SampleMany draws n samples using w parallel workers, each with an
 // independent generator from factory. Sample order is deterministic for
 // a fixed (factory, n, w, baseSeed) tuple: worker i produces the samples
 // with index ≡ i (mod w) from its own stream.
 func SampleMany(factory Factory, n, w int, baseSeed uint64) ([]linalg.Vector, error) {
-	return SampleManyVia(func(fn func()) { go fn() }, factory, n, w, baseSeed)
+	return SampleManyCtx(context.Background(), func(fn func()) { go fn() }, factory, n, w, baseSeed)
 }
 
 // Submitter schedules fn for execution, possibly on a shared worker
@@ -84,21 +30,15 @@ func SampleMany(factory Factory, n, w int, baseSeed uint64) ([]linalg.Vector, er
 // func(fn func()) { go fn() }.
 type Submitter func(fn func())
 
-// SampleManyVia is SampleMany with the worker goroutines scheduled
-// through submit instead of spawned directly. The output is identical to
-// SampleMany for the same (factory, n, w, baseSeed) regardless of the
-// submitter — each logical worker still owns the seed baseSeed + 7919·i
-// and the sample indices ≡ i (mod w) — so a serving layer can coalesce
-// many concurrent requests onto one bounded pool without changing what
-// any request returns.
-func SampleManyVia(submit Submitter, factory Factory, n, w int, baseSeed uint64) ([]linalg.Vector, error) {
-	return SampleManyCtx(context.Background(), submit, factory, n, w, baseSeed)
-}
-
-// SampleManyCtx is SampleManyVia with cooperative cancellation: every
-// worker polls ctx between samples (and the factories it is given are
-// expected to bind ctx into their generators, so cancellation also cuts
-// a sample short mid-walk). On cancellation the call returns ctx.Err()
+// SampleManyCtx is SampleMany with the worker goroutines scheduled
+// through submit instead of spawned directly, and with cooperative
+// cancellation. The output does not depend on the submitter — each
+// logical worker still owns the seed baseSeed + 7919·i and the sample
+// indices ≡ i (mod w) — so a serving layer can coalesce many concurrent
+// requests onto one bounded pool without changing what any request
+// returns. Every worker polls ctx between samples (and the factories it
+// is given are expected to bind ctx into their generators, so
+// cancellation also cuts a sample short mid-walk). On cancellation the call returns ctx.Err()
 // once every worker has stopped — workers never outlive the call, so a
 // cancelled batch cannot leak pool capacity.
 func SampleManyCtx(ctx context.Context, submit Submitter, factory Factory, n, w int, baseSeed uint64) ([]linalg.Vector, error) {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -18,7 +20,8 @@ func cubeFactory(d int, lo, hi float64) Factory {
 }
 
 func TestMedianVolume(t *testing.T) {
-	v, err := MedianVolume(cubeFactory(3, -1, 1), 7, 42)
+	rel := constraint.MustRelation("C", []string{"x", "y", "z"}, constraint.Cube(3, -1, 1))
+	v, err := MedianVolume(rel, 7, 42, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,22 +31,32 @@ func TestMedianVolume(t *testing.T) {
 }
 
 func TestMedianVolumeRejectsBadK(t *testing.T) {
-	if _, err := MedianVolume(cubeFactory(2, 0, 1), 0, 1); err == nil {
+	rel := constraint.MustRelation("C", []string{"x", "y"}, constraint.Cube(2, 0, 1))
+	if _, err := MedianVolume(rel, 0, 1, fastOpts()); err == nil {
 		t.Error("k=0 must fail")
 	}
 }
 
+// TestMedianVolumeMajorityFailure interrupts every estimator: all k runs
+// must be attempted and counted as failed, and the interrupt's error
+// must surface — the hook that stops a cancelled request's estimators.
 func TestMedianVolumeMajorityFailure(t *testing.T) {
 	var calls atomic.Int64
-	factory := func(seed uint64) (Observable, error) {
+	opts := fastOpts()
+	opts.Interrupt = func() error {
 		calls.Add(1)
-		return nil, errors.New("boom")
+		return context.Canceled
 	}
-	if _, err := MedianVolume(factory, 5, 1); err == nil {
-		t.Error("all-failing factory must error")
+	rel := constraint.MustRelation("C", []string{"x", "y"}, constraint.Cube(2, 0, 1))
+	_, err := MedianVolume(rel, 5, 1, opts)
+	if err == nil {
+		t.Fatal("all-failing estimators must error")
 	}
-	if calls.Load() != 5 {
-		t.Errorf("factory called %d times, want 5", calls.Load())
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "5/5 runs failed") {
+		t.Errorf("error = %v, want 5/5 runs failed with context.Canceled", err)
+	}
+	if calls.Load() < 5 {
+		t.Errorf("interrupt polled %d times, want at least once per run", calls.Load())
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
+	"sync"
 
 	"repro/internal/constraint"
 	"repro/internal/linalg"
@@ -10,14 +12,16 @@ import (
 	"repro/internal/rng"
 )
 
-// PreparedRelation is the cache-friendly form of a generalized relation's
-// sampling machinery: every tuple's rounding map, well-boundedness
-// witnesses and volume estimate are computed once at preparation time,
-// so binding a request seed costs only walker initialisation. This is
-// what a serving layer caches per (relation, Options) — the expensive
-// setup is paid on the first request and amortised across all later
-// ones, while each bound Observable keeps the per-seed determinism of a
-// cold NewRelationObservable.
+// PreparedRelation is the paper's generator for a well-bounded
+// generalized relation, split into preparation and binding: a DFK
+// generator per non-empty tuple, joined by the union combinator of
+// Theorem 4.1 / Corollary 4.2. Every tuple's rounding map,
+// well-boundedness witnesses and volume estimate are computed once at
+// preparation time, so binding a seed costs only walker initialisation.
+// It is the one way a linear relation becomes a generator: a serving
+// layer caches it per (relation, Options) and binds request seeds to it,
+// a one-off caller prepares and binds once, and MedianVolume prepares it
+// k times for k independent estimates.
 type PreparedRelation struct {
 	name    string
 	members []*PreparedConvex
@@ -42,19 +46,67 @@ func PrepareRelation(rel *constraint.Relation, r *rng.RNG, opts Options) (*Prepa
 	return PrepareRelationFanout(rel, r, opts, nil)
 }
 
+// MedianVolume amplifies the confidence of rel's volume estimate to
+// 1−δ by the classical median powering behind Section 2's ln(1/δ)
+// remark: k independent estimators run concurrently and the median
+// estimate is returned. Estimator i prepares rel and binds its
+// generator from one RNG seeded baseSeed + 1000003·i, so no two share a
+// preparation (k binds of one single-tuple preparation would all return
+// its one preparation-time estimate). With per-run failure probability
+// 1/4, k = 18·ln(1/δ) pushes the failure probability of the median below
+// δ; callers pick k directly to keep budgets explicit. opts.Interrupt,
+// when set, stops every estimator's walks with its error.
+func MedianVolume(rel *constraint.Relation, k int, baseSeed uint64, opts Options) (float64, error) {
+	if k <= 0 {
+		return 0, fmt.Errorf("core: MedianVolume needs k >= 1")
+	}
+	type res struct {
+		v   float64
+		err error
+	}
+	results := make([]res, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r := rng.New(baseSeed + uint64(1000003*i))
+			p, err := PrepareRelation(rel, r, opts)
+			var obs Observable
+			if err == nil {
+				obs, err = p.Bind(r)
+			}
+			if err == nil {
+				results[i].v, err = obs.Volume()
+			}
+			results[i].err = err
+		}(i)
+	}
+	wg.Wait()
+	vals := make([]float64, 0, k)
+	var firstErr error
+	for _, r := range results {
+		if r.err != nil {
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			continue
+		}
+		vals = append(vals, r.v)
+	}
+	// The median is meaningful as long as a majority of runs succeeded.
+	if len(vals) <= k/2 {
+		return 0, fmt.Errorf("core: MedianVolume: %d/%d runs failed: %w", k-len(vals), k, firstErr)
+	}
+	sort.Float64s(vals)
+	return vals[len(vals)/2], nil
+}
+
 // PrepareRelationFanout is PrepareRelation with the tuples, and each
 // tuple's volume phases, spread over fan (nil = one after another).
 // Every tuple's RNG is split from r up front in tuple order and the
 // members are folded back in that order, so the prepared geometry is
 // bit-identical at any width.
-//
-// This mirrors NewRelationObservable in relation.go (same pruning,
-// per-tuple generators and error shape), except that it splits every
-// tuple's generator from r before preparing any tuple; NewConvexPolytope
-// never touches r, so both paths split r in the same order. The paths
-// stay separate because the cold path must not pay the eager volume
-// pass and its RNG stream consumption must remain reproducible. Mirror
-// edits in both.
 func PrepareRelationFanout(rel *constraint.Relation, r *rng.RNG, opts Options, fan *Fanout) (*PreparedRelation, error) {
 	if err := opts.params().validate(); err != nil {
 		return nil, err

@@ -65,7 +65,12 @@ func runA1(cfg Config) (*Table, error) {
 			}
 		}
 		// Union generator.
-		obs, err := core.NewRelationObservable(rel, r.Split(), fastOpts())
+		ur := r.Split()
+		prep, err := core.PrepareRelation(rel, ur, fastOpts())
+		if err != nil {
+			return nil, err
+		}
+		obs, err := prep.Bind(ur)
 		if err != nil {
 			return nil, err
 		}

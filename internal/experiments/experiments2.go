@@ -335,7 +335,12 @@ func runE11(cfg Config) (*Table, error) {
 		}
 
 		dfkStart := time.Now()
-		obs, err := core.NewRelationObservable(rel, rng.New(cfg.Seed+uint64(40+d)), fastOpts())
+		r := rng.New(cfg.Seed + uint64(40+d))
+		prep, err := core.PrepareRelation(rel, r, fastOpts())
+		if err != nil {
+			return nil, err
+		}
+		obs, err := prep.Bind(r)
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,8 @@ type PreparedAlibi struct {
 	window       spacetime.Interval
 	regionTuples int
 	prunedTuples int
-	prep         *Prepared // nil when every region tuple is degenerate
+	fat          *constraint.Relation // the region without degenerate tuples
+	prep         *Prepared            // nil when every region tuple is degenerate
 	eps, delta   float64
 }
 
@@ -84,13 +85,12 @@ func PrepareAlibi(relA, relB *constraint.Relation, t0, t1 float64, prepSeed uint
 		eps:    p.Eps,
 		delta:  p.Delta,
 	}
-	fat, pruned := spacetime.PruneThin(region, 0)
-	pa.prunedTuples = pruned
-	pa.regionTuples = len(fat.Tuples)
-	if len(fat.Tuples) == 0 {
+	pa.fat, pa.prunedTuples = spacetime.PruneThin(region, 0)
+	pa.regionTuples = len(pa.fat.Tuples)
+	if pa.regionTuples == 0 {
 		return pa, nil
 	}
-	prep, err := Prepare(fat, prepSeed, opts, fan)
+	prep, err := Prepare(pa.fat, prepSeed, opts, fan)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: alibi meet-region preparation: %w", err)
 	}
@@ -99,10 +99,12 @@ func PrepareAlibi(relA, relB *constraint.Relation, t0, t1 float64, prepSeed uint
 }
 
 // Report binds seed to the warm meet-region geometry and returns the
-// two-sided alibi verdict, exactly shaped like spacetime.Alibi's. k > 1
-// amplifies the meeting-volume confidence with a median of k
-// independently seeded acceptance passes (single-tuple regions reuse
-// the preparation-time estimate, which is already an (ε, δ) answer).
+// two-sided alibi verdict. k > 1 amplifies the meeting-volume
+// confidence with core.MedianVolume over the pruned meet region: k
+// independent preparations seeded from seed, whose walks stop when ctx
+// is cancelled. The warm preparation serves k <= 1 only, because k
+// binds of a single-tuple region would all return its one
+// preparation-time estimate.
 func (pa *PreparedAlibi) Report(ctx context.Context, seed uint64, k int) (*spacetime.Report, error) {
 	rep := &spacetime.Report{
 		SymbolicMeet: len(pa.times) > 0,
@@ -122,7 +124,9 @@ func (pa *PreparedAlibi) Report(ctx context.Context, seed uint64, k int) (*space
 	if k <= 1 {
 		vol, err = pa.prep.VolumeCtx(ctx, seed)
 	} else {
-		vol, err = pa.prep.MedianVolumeCtx(ctx, k, seed)
+		opts := pa.prep.Options()
+		opts.Interrupt = ctx.Err
+		vol, err = core.MedianVolume(pa.fat, k, seed, opts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("runtime: alibi volume estimate: %w", err)

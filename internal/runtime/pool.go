@@ -56,7 +56,7 @@ func NewPoolWithSink(size int, sink obs.Sink) *Pool {
 // runJob shields the worker from a panicking job: handler goroutines are
 // recovered per-connection by net/http, but a bare pool goroutine would
 // take the whole process down. The job's own waiters see the failure
-// through their error slots (SampleManyVia converts worker panics to
+// through their error slots (core.SampleManyCtx converts worker panics to
 // errors); the recover here is the process-level backstop.
 func runJob(fn func()) {
 	defer func() { _ = recover() }()

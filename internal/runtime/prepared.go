@@ -138,42 +138,11 @@ func (p *Prepared) VolumeWithAccuracy(ctx context.Context, seed uint64) (v float
 	return v, acc, accOK, nil
 }
 
-// MedianVolumeCtx amplifies the volume confidence over the warm
-// geometry: k independently seeded estimators (the same seed schedule
-// as the classical ln(1/δ) median powering) run concurrently and the
-// median estimate is returned. Unlike the deprecated package-level
-// MedianVolume, no estimator pays a cold sampler setup. Note that for
-// single-tuple relations every bound estimator shares the
-// preparation-time estimate, so amplification is meaningful only for
-// unions (whose acceptance pass depends on the seed).
-func (p *Prepared) MedianVolumeCtx(ctx context.Context, k int, baseSeed uint64) (float64, error) {
-	return core.MedianVolume(func(s uint64) (core.Observable, error) {
-		return p.NewObservableCtx(ctx, s)
-	}, k, baseSeed)
-}
-
 // SampleMany draws n samples with w parallel workers from the warm
 // geometry; worker i owns seed baseSeed+7919·i and the indices ≡ i
 // (mod w), so the output is deterministic in (n, w, baseSeed).
 func (p *Prepared) SampleMany(n, w int, baseSeed uint64) ([]linalg.Vector, error) {
 	return core.SampleMany(p.NewObservable, n, w, baseSeed)
-}
-
-// SampleManyVia is SampleMany with worker execution scheduled through
-// submit (e.g. the runtime's bounded worker pool). The output is
-// identical to SampleMany for the same arguments.
-func (p *Prepared) SampleManyVia(submit core.Submitter, n, w int, baseSeed uint64) ([]linalg.Vector, error) {
-	return core.SampleManyVia(submit, p.NewObservable, n, w, baseSeed)
-}
-
-// SampleManyCtx is SampleManyVia with cooperative cancellation: workers
-// poll ctx between samples and the bound generators poll it inside
-// their walk epochs. Points drawn for a given seed are identical to
-// SampleMany's when the context never fires.
-func (p *Prepared) SampleManyCtx(ctx context.Context, submit core.Submitter, n, w int, baseSeed uint64) ([]linalg.Vector, error) {
-	return core.SampleManyCtx(ctx, submit, func(seed uint64) (core.Observable, error) {
-		return p.NewObservableCtx(ctx, seed)
-	}, n, w, baseSeed)
 }
 
 // DrawStats is the measured effort of one batched draw: per-seed bind
@@ -192,11 +161,14 @@ type DrawStats struct {
 	MemberDraws []int64
 }
 
-// SampleManyObserved is SampleManyCtx with effort measurement: binds
-// are timed, queue waits measured, and after the draw the bound
-// generators' walk/rejection counters are aggregated into ds. The
-// sample stream is identical to SampleManyCtx's for the same
-// arguments. ds must be non-nil and unshared until the call returns.
+// SampleManyObserved is SampleMany scheduled through submit, with
+// cooperative cancellation (workers poll ctx between samples and the
+// bound generators poll it inside their walk epochs) and effort
+// measurement: binds are timed, queue waits measured, and after the
+// draw the bound generators' walk/rejection counters are aggregated
+// into ds. The sample stream is identical to SampleMany's for the same
+// arguments when the context never fires. ds must be non-nil and
+// unshared until the call returns.
 func (p *Prepared) SampleManyObserved(ctx context.Context, submit core.Submitter, n, w int, baseSeed uint64, ds *DrawStats) ([]linalg.Vector, error) {
 	var mu sync.Mutex
 	var bound []core.Observable

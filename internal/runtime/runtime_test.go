@@ -129,6 +129,21 @@ func TestPreparedAlibiCacheReplay(t *testing.T) {
 	}
 }
 
+// TestPreparedAlibiMedianCancelled: a k > 1 report prepares its k
+// estimators afresh, and a cancelled context stops their walks.
+func TestPreparedAlibiMedianCancelled(t *testing.T) {
+	rt, entry, _ := newTestRuntime(t)
+	pa, _, err := rt.PreparedAlibi(entry, "A", "B", 0, 10, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := pa.Report(ctx, 7, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("median-of-3 report under a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
 // TestExecPinnedPrepSeed: an explicit preparation seed produces the
 // same prepared geometry on every process (here: two runtimes).
 func TestExecPinnedPrepSeed(t *testing.T) {

@@ -75,13 +75,18 @@ func ClauseRelation(c Clause, nvars int) *constraint.Relation {
 	return constraint.MustRelation(fmt.Sprintf("clause%d", len(c)), vars, tuples...)
 }
 
-// Observables builds one union observable per clause; their intersection
-// (via core.NewIntersection) is the instance's geometric encoding.
+// Observables builds one union observable per clause, each prepared and
+// bound from its own split of r; their intersection (via
+// core.NewIntersection) is the instance's geometric encoding.
 func (ins Instance) Observables(r *rng.RNG, opts core.Options) ([]core.Observable, error) {
 	out := make([]core.Observable, 0, len(ins.Clauses))
 	for i, c := range ins.Clauses {
-		rel := ClauseRelation(c, ins.NumVars)
-		obs, err := core.NewRelationObservable(rel, core.NewRNGFromSplit(r), opts)
+		cr := r.Split()
+		prep, err := core.PrepareRelation(ClauseRelation(c, ins.NumVars), cr, opts)
+		if err != nil {
+			return nil, fmt.Errorf("satenc: clause %d: %w", i, err)
+		}
+		obs, err := prep.Bind(cr)
 		if err != nil {
 			return nil, fmt.Errorf("satenc: clause %d: %w", i, err)
 		}

@@ -23,11 +23,16 @@ func benchRelation() *cdb.Relation {
 const benchSamplesPerRequest = 16
 
 // BenchmarkNaivePerRequestSampler is the baseline: every request builds
-// its own sampler from scratch, exactly what cdb.NewSampler does.
+// its own sampler from scratch — a full cdb.PrepareSampler setup, then
+// one bind.
 func BenchmarkNaivePerRequestSampler(b *testing.B) {
 	rel := benchRelation()
 	for i := 0; i < b.N; i++ {
-		obs, err := cdb.NewSampler(rel, uint64(i+1), cdb.DefaultOptions())
+		ps, err := cdb.PrepareSampler(rel, uint64(i+1), cdb.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		obs, err := ps.NewObservable(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -392,12 +392,11 @@ type volumeRequest struct {
 	Relation string `json:"relation,omitempty"`
 	Query    string `json:"query,omitempty"`
 	Seed     uint64 `json:"seed"`
-	// MedianK > 1 runs k independent cold estimators and returns the
-	// median (cdb.MedianVolume's ln(1/δ) confidence amplification); the
-	// default uses the warm prepared estimate. The estimators stay cold
-	// on purpose: a warm bind of a single-tuple relation returns its one
-	// preparation-time estimate (see PreparedSampler.MedianVolumeCtx),
-	// so k of them would amplify nothing.
+	// MedianK > 1 returns the median of k independent preparations of
+	// the target's canonical relation (core.MedianVolume's ln(1/δ)
+	// confidence amplification); the default uses the warm prepared
+	// estimate. A warm bind of a single-tuple relation returns its one
+	// preparation-time estimate, so k binds would amplify nothing.
 	MedianK int          `json:"median_k,omitempty"`
 	Options *OptionsJSON `json:"options,omitempty"`
 	// Trace includes the request's span tree in the response.
@@ -445,7 +444,7 @@ func (s *Server) serveVolume(w http.ResponseWriter, r *http.Request, req *volume
 		return
 	}
 	if req.MedianK > 1 {
-		// k independent cold estimators over the canonical relation (see
+		// k independent preparations of the canonical relation (see
 		// volumeRequest.MedianK for why they are not warm binds), whose
 		// walks abort when the client goes away. The guard above passed,
 		// so an ∃ plan is within the elimination budget: its relation is
@@ -458,7 +457,7 @@ func (s *Server) serveVolume(w http.ResponseWriter, r *http.Request, req *volume
 		if err == nil {
 			opts := t.opts
 			opts.Interrupt = r.Context().Err
-			resp.Volume, err = cdb.MedianVolume(rel, req.MedianK, req.Seed, opts)
+			resp.Volume, err = core.MedianVolume(rel, req.MedianK, req.Seed, opts)
 		}
 		if err != nil {
 			s.writeError(w, "volume", http.StatusInternalServerError, err)

@@ -51,8 +51,9 @@ type Config struct {
 	// MaxSourceBytes caps the program size accepted by POST /v1/databases
 	// (default 1 MiB).
 	MaxSourceBytes int
-	// MaxMedianK caps the median_k amplification factor of /v1/volume —
-	// each of the k runs pays a full cold estimator (default 64).
+	// MaxMedianK caps the median_k amplification factor of /v1/volume
+	// and /v1/spacetime/alibi — each of the k runs pays a full
+	// preparation (default 64).
 	MaxMedianK int
 	// MaxDatabases caps the registry size (default 1024).
 	MaxDatabases int

@@ -309,6 +309,21 @@ func TestVolumeEndpoint(t *testing.T) {
 	if math.Abs(out.Volume-2) > 0.7 {
 		t.Fatalf("area(B) estimate %g too far from 2", out.Volume)
 	}
+
+	// On the single-tuple S, k = 3 independent preparations must not
+	// return the one estimate k = 1 does.
+	volume := func(k int) float64 {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/volume", volumeRequest{Database: "test", Relation: "S", Seed: 42, MedianK: k, Options: fastOpts})
+		var out volumeResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil {
+			t.Fatalf("median_k=%d: status %d, body %s", k, resp.StatusCode, body)
+		}
+		return out.Volume
+	}
+	if one, three := volume(1), volume(3); three == one || math.Abs(three-0.5) > 0.2 {
+		t.Fatalf("area(S) median_k=3 = %g, k=1 = %g: want a different estimate near 0.5", three, one)
+	}
 }
 
 func TestQueryEndpointModes(t *testing.T) {
@@ -448,8 +463,8 @@ func TestQuantifierFreeQueryUsesPreparedCache(t *testing.T) {
 		}
 	}
 
-	// Median amplification runs its cold estimators over the same
-	// eliminated relation.
+	// Median amplification prepares its independent estimators over the
+	// same eliminated relation.
 	resp, body = postJSON(t, ts.URL+"/v1/volume", volumeRequest{Database: "test", Query: "Q", MedianK: 3, Seed: 3, Options: fastOpts})
 	var vout volumeResponse
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &vout) != nil {

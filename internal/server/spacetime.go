@@ -245,8 +245,10 @@ type alibiRequest struct {
 	T0       float64 `json:"t0"`
 	T1       float64 `json:"t1"`
 	Seed     uint64  `json:"seed"`
-	// MedianK > 1 amplifies the meeting-volume confidence with k
-	// independently seeded estimators (capped by Config.MaxMedianK).
+	// MedianK > 1 amplifies the meeting-volume confidence with the
+	// median of k independent preparations of the meet region
+	// (core.MedianVolume, capped by Config.MaxMedianK); the default uses
+	// the warm prepared estimate.
 	MedianK int          `json:"median_k,omitempty"`
 	Options *OptionsJSON `json:"options,omitempty"`
 }
@@ -289,7 +291,8 @@ func (s *Server) serveSpacetimeAlibi(w http.ResponseWriter, r *http.Request, req
 	start := time.Now()
 	// The meet region, its Fourier–Motzkin intervals and the volume
 	// observable are prepared once per (db, a, b, t0, t1, options) in the
-	// shared cache; this request only binds its seed.
+	// shared cache; this request only binds its seed, unless median_k > 1
+	// asks for that many fresh preparations of the region.
 	pa, hit, err := s.rt.PreparedAlibi(t.entry, req.A, req.B, req.T0, req.T1, t.opts)
 	if err != nil {
 		s.writeError(w, endpoint, http.StatusBadRequest, err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -283,6 +284,41 @@ func TestSpacetimeAlibiEndpoint(t *testing.T) {
 		alibiRequest{Database: "motion", A: "A", B: "B", T0: 0, T1: 10, MedianK: 10_000})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("median_k cap: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSpacetimeAlibiMedianK: median_k runs k independent preparations
+// of the meet region, so on the single-tuple A/B region (exact volume
+// 10 · 0.5 · 1 = 5) k = 3 must not return the warm preparation-time
+// estimate k = 1 returns, and must stay within (1±ε)·5.
+func TestSpacetimeAlibiMedianK(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	register(t, ts.URL, "ab", `
+rel A(x, y, t) := { 0 <= t <= 10, t <= x <= t + 1, 0 <= y <= 1 };
+rel B(x, y, t) := { 0 <= t <= 10, t - 0.5 <= x <= t + 0.5, 0 <= y <= 1 };
+`)
+	volume := func(k int) float64 {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/spacetime/alibi",
+			alibiRequest{Database: "ab", A: "A", B: "B", T0: 0, T1: 10, Seed: 7, MedianK: k})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("alibi median_k=%d: status %d, body %s", k, resp.StatusCode, body)
+		}
+		var out alibiResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !out.Meet || !out.Consistent {
+			t.Fatalf("median_k=%d: A/B should meet consistently: %+v", k, out.Report)
+		}
+		return out.Volume
+	}
+	one, three := volume(1), volume(3)
+	if three == one {
+		t.Fatalf("median_k=3 volume %v is the k = 1 estimate: the median amplified nothing", three)
+	}
+	if eps := cdb.DefaultOptions().Params.Eps; math.Abs(three-5) > eps*5 {
+		t.Fatalf("median_k=3 volume %v, want (1±%g)·5", three, eps)
 	}
 }
 

@@ -5,16 +5,9 @@ import (
 	"sort"
 
 	"repro/internal/constraint"
-	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/lp"
-	"repro/internal/rng"
 )
-
-// thinTol is the Chebyshev-radius floor below which a meet-region tuple
-// counts as degenerate (measure ~zero): it contributes nothing to the
-// meeting volume and would break the well-boundedness witnesses.
-const thinTol = DefaultThinTol
 
 // Interval is a closed time interval [Lo, Hi].
 type Interval struct {
@@ -28,7 +21,7 @@ type Interval struct {
 //   - Meet: the sampling verdict — the meet region has positive measure
 //     under the paper's volume estimator, with Volume its meeting-volume
 //     estimate (relative error ε with confidence 1−δ from the Options,
-//     amplified to median-of-k when k > 1).
+//     amplified by a median of k independent preparations when k > 1).
 //   - SymbolicMeet: the Fourier–Motzkin verdict — spatial coordinates
 //     eliminated exactly, leaving the meeting-time intervals.
 //
@@ -74,29 +67,12 @@ func MeetRegion(a, b *constraint.Relation, timeCol int, t0, t1 float64) (*constr
 	return TimeWindow(m, timeCol, t0, t1)
 }
 
-// MeetTimes eliminates the spatial coordinates of the meet region by
-// Fourier–Motzkin and returns the exact meeting-time intervals, merged
-// and sorted. An empty slice means the objects provably could not have
-// met — the alibi holds.
-func MeetTimes(a, b *constraint.Relation, timeCol int, t0, t1 float64) ([]Interval, error) {
-	m, err := MeetRegion(a, b, timeCol, t0, t1)
-	if err != nil {
-		return nil, err
-	}
-	return meetTimesOf(m, timeCol), nil
-}
-
-// MeetTimesOf eliminates the spatial coordinates of an already-built
-// meet region — the exported form warm-cache layers use to share one
-// region construction between the symbolic and sampling paths.
+// MeetTimesOf eliminates the spatial coordinates of a meet region (see
+// MeetRegion) by Fourier–Motzkin and returns the exact meeting-time
+// intervals, merged and sorted. An empty slice means the objects
+// provably could not have met — the alibi holds. It simplifies region's
+// tuples in place (RemoveRedundant preserves the denoted set).
 func MeetTimesOf(region *constraint.Relation, timeCol int) []Interval {
-	return meetTimesOf(region, timeCol)
-}
-
-// meetTimesOf eliminates the spatial coordinates of an already-built
-// meet region. It simplifies region's tuples in place (RemoveRedundant
-// preserves the denoted set).
-func meetTimesOf(region *constraint.Relation, timeCol int) []Interval {
 	// Pre-prune each conjunction to its minimal facet description —
 	// intersecting two beads duplicates window and near-parallel cone
 	// atoms, and Fourier–Motzkin's blow-up is quadratic per eliminated
@@ -149,69 +125,4 @@ func polytopeInterval(a []linalg.Vector, b []float64) (lo, hi float64, ok bool) 
 		return 0, 0, false
 	}
 	return -negLo, hi, true
-}
-
-// Alibi answers "could objects A and B have met during [t0, t1]?" both
-// ways and cross-checks:
-//
-//   - Sampling path: build the meet region, drop degenerate tuples
-//     (Chebyshev radius below thinTol) and estimate its volume with the
-//     prepared machinery — median-of-k estimates when k > 1. The verdict
-//     is Meet = volume > 0.
-//   - Symbolic path: Fourier–Motzkin elimination of the spatial
-//     coordinates, yielding the exact meeting-time intervals.
-//
-// A non-nil Report is returned even when the region is empty; err is
-// reserved for structural failures (arity mismatch, invalid window,
-// generator aborts).
-func Alibi(a, b *constraint.Relation, timeCol int, t0, t1 float64, seed uint64, k int, opts core.Options) (*Report, error) {
-	region, err := MeetRegion(a, b, timeCol, t0, t1)
-	if err != nil {
-		return nil, err
-	}
-	times := meetTimesOf(region, timeCol)
-	p := opts.Params
-	if p.Gamma == 0 && p.Eps == 0 && p.Delta == 0 {
-		p = core.DefaultParams()
-	}
-	rep := &Report{
-		SymbolicMeet: len(times) > 0,
-		MeetTimes:    times,
-		RelErr:       p.Eps,
-		Confidence:   1 - p.Delta,
-		Window:       Interval{Lo: t0, Hi: t1},
-	}
-
-	// Sampling path: prune measure-zero tuples, then estimate the volume.
-	fat, pruned := PruneThin(region, thinTol)
-	rep.PrunedTuples = pruned
-	rep.RegionTuples = len(fat.Tuples)
-	if len(fat.Tuples) == 0 {
-		rep.Consistent = rep.Meet == rep.SymbolicMeet
-		return rep, nil
-	}
-	vol, err := estimateVolume(fat, seed, k, opts)
-	if err != nil {
-		return nil, fmt.Errorf("spacetime: alibi volume estimate: %w", err)
-	}
-	rep.Volume = vol
-	rep.Meet = vol > 0
-	rep.Consistent = rep.Meet == rep.SymbolicMeet
-	return rep, nil
-}
-
-// estimateVolume runs the relation volume estimator, median-of-k when
-// k > 1 (the classical ln(1/δ) confidence powering).
-func estimateVolume(rel *constraint.Relation, seed uint64, k int, opts core.Options) (float64, error) {
-	factory := func(s uint64) (core.Observable, error) {
-		return core.NewRelationObservable(rel, rng.New(s), opts)
-	}
-	if k <= 1 {
-		obs, err := factory(seed)
-		if err != nil {
-			return 0, err
-		}
-		return obs.Volume()
-	}
-	return core.MedianVolume(factory, k, seed)
 }

@@ -1,6 +1,7 @@
 package spacetime_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/constraint"
@@ -8,11 +9,22 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/linalg"
 	"repro/internal/rng"
+	"repro/internal/runtime"
 	"repro/internal/spacetime"
 )
 
 func fastOpts() core.Options {
 	return core.Options{MaxPhaseSamples: 200}
+}
+
+// alibi answers the alibi query the way cdb.AlibiQuery does: prepare
+// the meet region under seed, then report with median-of-k.
+func alibi(a, b *constraint.Relation, t0, t1 float64, seed uint64, k int, opts core.Options) (*spacetime.Report, error) {
+	pa, err := runtime.PrepareAlibi(a, b, t0, t1, seed, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return pa.Report(context.Background(), seed, k)
 }
 
 // twoCommuters builds a hand-made pair whose meeting window is known:
@@ -40,10 +52,9 @@ func twoCommuters(t *testing.T) (a, b *constraint.Relation) {
 
 func TestAlibiMeetAndRefute(t *testing.T) {
 	a, b := twoCommuters(t)
-	tc := spacetime.TimeColumn(a)
 
 	// Full window: the objects cross near (10, 0) around t = 5.
-	rep, err := spacetime.Alibi(a, b, tc, 0, 10, 42, 1, fastOpts())
+	rep, err := alibi(a, b, 0, 10, 42, 1, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestAlibiMeetAndRefute(t *testing.T) {
 
 	// Early window: at t ∈ [0, 1], A is near the origin and B is ten
 	// units away with speed bound 3 — no meeting possible.
-	rep, err = spacetime.Alibi(a, b, tc, 0, 1, 42, 1, fastOpts())
+	rep, err = alibi(a, b, 0, 1, 42, 1, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +108,7 @@ func TestAlibiMeetAndRefute(t *testing.T) {
 
 func TestAlibiMedianAmplification(t *testing.T) {
 	a, b := twoCommuters(t)
-	tc := spacetime.TimeColumn(a)
-	rep, err := spacetime.Alibi(a, b, tc, 0, 10, 7, 3, fastOpts())
+	rep, err := alibi(a, b, 0, 10, 7, 3, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +120,13 @@ func TestAlibiMedianAmplification(t *testing.T) {
 func TestAlibiArityMismatch(t *testing.T) {
 	a, _ := twoCommuters(t)
 	flat := constraint.MustRelation("F", []string{"x", "t"}, constraint.Cube(2, 0, 1))
-	if _, err := spacetime.Alibi(a, flat, 2, 0, 1, 1, 1, fastOpts()); err == nil {
+	if _, err := alibi(a, flat, 0, 1, 1, 1, fastOpts()); err == nil {
 		t.Error("arity mismatch should fail")
 	}
 	// Same arity but a permuted frame: intersecting positionally would
 	// silently read b's time column as a position.
 	permuted := constraint.MustRelation("P", []string{"t", "x", "y"}, constraint.Cube(3, 0, 1))
-	if _, err := spacetime.Alibi(a, permuted, 2, 0, 1, 1, 1, fastOpts()); err == nil {
+	if _, err := alibi(a, permuted, 0, 1, 1, 1, fastOpts()); err == nil {
 		t.Error("column-order mismatch should fail")
 	}
 }
@@ -138,7 +148,7 @@ func TestAlibiCrossCheckSuite(t *testing.T) {
 		a, b := dataset.CrossingPair(r, cfg)
 		ra, rb := a.Relation(), b.Relation()
 		lo, hi := a.Support()
-		rep, err := spacetime.Alibi(ra, rb, spacetime.TimeColumn(ra), lo, hi, uint64(i+1), 1, opts)
+		rep, err := alibi(ra, rb, lo, hi, uint64(i+1), 1, opts)
 		if err != nil {
 			t.Fatalf("crossing pair %d: %v", i, err)
 		}
@@ -158,7 +168,7 @@ func TestAlibiCrossCheckSuite(t *testing.T) {
 		a, b := dataset.SeparatedPair(r, cfg)
 		ra, rb := a.Relation(), b.Relation()
 		lo, hi := a.Support()
-		rep, err := spacetime.Alibi(ra, rb, spacetime.TimeColumn(ra), lo, hi, uint64(i+1), 1, opts)
+		rep, err := alibi(ra, rb, lo, hi, uint64(i+1), 1, opts)
 		if err != nil {
 			t.Fatalf("separated pair %d: %v", i, err)
 		}

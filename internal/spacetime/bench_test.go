@@ -84,15 +84,15 @@ func BenchmarkWarmTimeSliceSampling(b *testing.B) {
 }
 
 // BenchmarkAlibiSampling measures one full sampled alibi evaluation on
-// a crossing pair (meet region build + volume estimate), the cost the
+// a crossing pair (meet region build, Fourier–Motzkin meeting times and
+// volume estimate; runtime.PrepareAlibi then Report), the cost the
 // paper's sampling path pays where exact elimination would blow up.
 func BenchmarkAlibiSampling(b *testing.B) {
 	a, t2 := dataset.CrossingPair(rng.New(42), dataset.TrajectoryConfig{Steps: 3})
 	ra, rb := a.Relation(), t2.Relation()
-	tc := spacetime.TimeColumn(ra)
 	lo, hi := a.Support()
 	for i := 0; i < b.N; i++ {
-		rep, err := spacetime.Alibi(ra, rb, tc, lo, hi, uint64(i+1), 1, core.Options{})
+		rep, err := alibi(ra, rb, lo, hi, uint64(i+1), 1, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

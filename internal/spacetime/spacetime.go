@@ -25,9 +25,11 @@
 //   - TimeSlice (slice.go): fix t = t0 and obtain the convex snapshot
 //     relation over space — the time-slice operator that FO-complete
 //     spatio-temporal query languages are built around.
-//   - Alibi (alibi.go): "could objects A and B have met during
-//     [t0, t1]?", answered both by sampling the meet region and
-//     symbolically by Fourier–Motzkin elimination, cross-checked.
+//   - the alibi query (alibi.go): "could objects A and B have met
+//     during [t0, t1]?". MeetRegion builds the meet region and
+//     MeetTimesOf answers it symbolically by Fourier–Motzkin
+//     elimination; runtime.PrepareAlibi also samples the region and
+//     cross-checks the two answers in a Report.
 package spacetime
 
 import (

@@ -16,6 +16,16 @@ func fastOpts() core.Options {
 	return core.Options{MaxPhaseSamples: 200}
 }
 
+// prepareAndBind is the one-off sampler for rel: core.PrepareRelation
+// and Bind, both drawing from r.
+func prepareAndBind(rel *constraint.Relation, r *rng.RNG) (core.Observable, error) {
+	p, err := core.PrepareRelation(rel, r, fastOpts())
+	if err != nil {
+		return nil, err
+	}
+	return p.Bind(r)
+}
+
 // commuter is a simple 2-D trajectory: origin → (10, 0) → (10, 10) over
 // t ∈ [0, 10] with a generous speed bound.
 func commuter(t *testing.T) *Trajectory {
@@ -117,7 +127,7 @@ func TestSpeedDirections(t *testing.T) {
 func TestTrajectorySamplesStayInBeads(t *testing.T) {
 	tr := commuter(t)
 	rel := tr.Relation()
-	obs, err := core.NewRelationObservable(rel, rng.New(7), fastOpts())
+	obs, err := prepareAndBind(rel, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +183,7 @@ func TestTimeSliceSnapshot(t *testing.T) {
 	}
 
 	// The snapshot samples and has positive area.
-	obs, err := core.NewRelationObservable(slice, rng.New(3), fastOpts())
+	obs, err := prepareAndBind(slice, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +214,7 @@ func TestTimeSliceDegenerate(t *testing.T) {
 			t.Fatalf("t0=%g: slice not empty", t0)
 		}
 		// The sampler reports a clean error, not a panic.
-		if _, err := core.NewRelationObservable(slice, rng.New(1), fastOpts()); err == nil {
+		if _, err := prepareAndBind(slice, rng.New(1)); err == nil {
 			t.Fatalf("t0=%g: sampler on empty slice should fail", t0)
 		}
 	}
@@ -221,7 +231,7 @@ func TestTimeSliceDegenerate(t *testing.T) {
 	if !slice.Contains(linalg.Vector{0, 0}) {
 		t.Error("slice at t=0 should contain the origin")
 	}
-	if _, err := core.NewRelationObservable(slice, rng.New(1), fastOpts()); err == nil {
+	if _, err := prepareAndBind(slice, rng.New(1)); err == nil {
 		t.Error("sampler on a point slice should fail cleanly")
 	}
 }
@@ -260,7 +270,7 @@ func TestPruneThin(t *testing.T) {
 		t.Fatalf("PruneThin dropped %d, kept %d; want 1/1", pruned, len(fat.Tuples))
 	}
 	// The survivor samples fine.
-	if _, err := core.NewRelationObservable(fat, rng.New(1), fastOpts()); err != nil {
+	if _, err := prepareAndBind(fat, rng.New(1)); err != nil {
 		t.Fatalf("pruned window should be samplable: %v", err)
 	}
 

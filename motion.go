@@ -5,6 +5,9 @@ package cdb
 // internal/spacetime for the model and cmd/cdbmotion for the CLI.
 
 import (
+	"context"
+
+	"repro/internal/runtime"
 	"repro/internal/spacetime"
 )
 
@@ -49,7 +52,11 @@ func TimeWindow(rel *Relation, t0, t1 float64) (*Relation, error) {
 // when k > 1) and symbolically by Fourier–Motzkin elimination,
 // cross-checked in the returned report.
 func AlibiQuery(a, b *Relation, t0, t1 float64, seed uint64, k int, opts Options) (*AlibiReport, error) {
-	return spacetime.Alibi(a, b, spacetime.TimeColumn(a), t0, t1, seed, k, opts)
+	pa, err := runtime.PrepareAlibi(a, b, t0, t1, seed, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return pa.Report(context.Background(), seed, k)
 }
 
 // TimeSupport returns the time extent [lo, hi] of a space-time

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	cdb "repro"
+	"repro/internal/core"
 )
 
 func TestMedianVolumeFacade(t *testing.T) {
 	rel := cdb.MustRelation("R", []string{"x", "y"}, cdb.Cube(2, 0, 3))
-	v, err := cdb.MedianVolume(rel, 5, 11, cdb.DefaultOptions())
+	v, err := core.MedianVolume(rel, 5, 11, cdb.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +20,11 @@ func TestMedianVolumeFacade(t *testing.T) {
 
 func TestSampleManyFacade(t *testing.T) {
 	rel := cdb.MustRelation("R", []string{"x"}, cdb.Cube(1, 0, 1), cdb.Cube(1, 4, 5))
-	pts, err := cdb.SampleMany(rel, 200, 4, 13, cdb.DefaultOptions())
+	ps, err := cdb.PrepareSampler(rel, 1, cdb.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := ps.SampleMany(200, 4, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

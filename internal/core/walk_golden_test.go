@@ -6,8 +6,10 @@ package core
 // membership-only semi-algebraic body (bisection chords) and the
 // volume-phase intersection of a rounded body with a ball — and the
 // position after fixed step counts is recorded bit for bit, together
-// with the walker's effort counters. Convex.Sample/Volume on each walk
-// kind and one union draw are pinned the same way. Rewrite the golden
+// with the walker's effort counters. The volume phases' coordinate
+// kernel (walk.AxisWalker) over the rounded H-polytope, at a phase radius
+// and with no ball, Convex.Sample/Volume on each walk kind and one union
+// draw are pinned the same way. Rewrite the golden
 // only on purpose, with -update-walk.
 
 import (
@@ -102,7 +104,8 @@ func recordWalks(t *testing.T) map[string][]string {
 	t.Helper()
 	out := map[string][]string{}
 	checkpoints := []int{1, 7, 50, 400}
-	for bi, b := range goldenBodies(t) {
+	bodies := goldenBodies(t)
+	for bi, b := range bodies {
 		for _, kind := range []walk.Kind{walk.GridWalk, walk.BallWalk, walk.HitAndRun} {
 			cfg := walk.Config{Kind: kind, Grid: geom.NewGrid(3, 0.05), Delta: 0.3, OuterRadius: b.outer}
 			w, err := walk.New(b.body, make(linalg.Vector, 3), rng.New(uint64(200+10*bi)+uint64(kind)), cfg)
@@ -120,6 +123,28 @@ func recordWalks(t *testing.T) map[string][]string {
 			}
 			out[b.name+"/"+kind.String()] = rows
 		}
+	}
+	// The volume phases' coordinate kernel over the rounded polytope, at
+	// the phase radius and with no ball.
+	poly, ok := bodies[0].body.(*polytope.Polytope)
+	if !ok {
+		t.Fatalf("rounded polytope is %T, want a folded *polytope.Polytope", bodies[0].body)
+	}
+	for ri, radius := range []float64{1.5, math.Inf(1)} {
+		w, err := walk.NewAxisWalker(poly, radius, make(linalg.Vector, 3), rng.New(250+uint64(ri)), nil)
+		if err != nil {
+			t.Fatalf("axis walker at radius %g: %v", radius, err)
+		}
+		var rows []string
+		done := 0
+		for _, c := range append(checkpoints, 5000) {
+			x := w.Run(c - done)
+			done = c
+			st := w.Stats()
+			rows = append(rows, fmt.Sprintf("%d: %s steps=%d accepted=%d oracle=%d",
+				c, bitsOf(x), st.Steps, st.Accepted, st.OracleCalls))
+		}
+		out[fmt.Sprintf("axis/r=%g", radius)] = rows
 	}
 	return out
 }

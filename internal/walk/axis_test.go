@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/constraint"
 	"repro/internal/linalg"
+	"repro/internal/num"
 	"repro/internal/polytope"
 	"repro/internal/rng"
 )
@@ -131,6 +132,138 @@ func TestAxisWalkerRejects(t *testing.T) {
 		_, err := NewAxisWalker(square(), c.radius, c.start, rng.New(19), nil)
 		if err == nil || c.outside != errors.Is(err, ErrStartOutside) {
 			t.Errorf("%s: error %v, want one that is ErrStartOutside: %v", c.name, err, c.outside)
+		}
+	}
+}
+
+// referenceAxisStep is the coordinate step as first written: the chord
+// clipped row by row with polytope.ClipChord, the proposal tested in one
+// pass over the rows and committed in another. It is kept as the
+// bit-for-bit reference for AxisWalker.Step.
+func referenceAxisStep(w *AxisWalker) {
+	w.steps++
+	j := w.r.Intn(len(w.x))
+	col := w.cols[j*w.m : (j+1)*w.m]
+	w.oracle++
+	tmin, tmax := math.Inf(-1), math.Inf(1)
+	var ok bool
+	for i, a := range col {
+		if tmin, tmax, ok = polytope.ClipChord(tmin, tmax, w.b[i]-w.ax[i], a); !ok {
+			return
+		}
+	}
+	xj := w.x[j]
+	disc := xj*xj - w.norm2 + w.r2
+	if disc < 0 {
+		return
+	}
+	s := math.Sqrt(disc)
+	tmin, tmax = max(tmin, -xj-s), min(tmax, -xj+s)
+	if tmax <= tmin || math.IsInf(tmin, -1) || math.IsInf(tmax, 1) {
+		return
+	}
+	t := w.r.Uniform(tmin, tmax)
+	w.oracle++
+	for i, a := range col {
+		if w.ax[i]+t*a > w.b[i]+num.Eps {
+			return
+		}
+	}
+	norm2 := w.norm2 + t*(2*xj+t)
+	if norm2 > w.r2 {
+		return
+	}
+	for i, a := range col {
+		w.ax[i] += t * a
+	}
+	w.x[j] = xj + t
+	w.norm2 = norm2
+	w.accepted++
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAxisWalkerMatchesReference drives AxisWalker.Step and
+// referenceAxisStep from equal RNG streams for 10⁵ steps over four
+// bodies — rows with |A[i][j]| <= num.Eps, a zero column under a finite
+// ball, a polytope with no ball, and a row parallel to every axis whose
+// slack the tracked position pushes below −num.Eps, so whole steps are
+// refused — and checks after every step that the position, the row
+// values, |x|² and the effort counters agree bit for bit.
+func TestAxisWalkerMatchesReference(t *testing.T) {
+	eps := num.Eps
+	cube := polytope.FromTuple(constraint.Cube(3, -1, 1))
+	for _, c := range []struct {
+		name   string
+		poly   *polytope.Polytope
+		radius float64
+		start  linalg.Vector
+		// reset, when set, moves both walkers to a fresh point of the
+		// cube ∩ ball every resetEvery steps.
+		reset bool
+	}{
+		{"parallel-rows", cube.
+			WithHalfspace(linalg.Vector{1, eps, -eps}, 0.9).
+			WithHalfspace(linalg.Vector{eps / 2, 1, -3e-12}, 0.8).
+			WithHalfspace(linalg.Vector{-eps, 0, 1}, 0.7).
+			WithHalfspace(linalg.Vector{1.0000001 * eps, -0.5, 1}, 0.75),
+			1.5, linalg.Vector{0.1, -0.2, 0.05}, false},
+		{"zero-column", polytope.New([]linalg.Vector{
+			{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {1, 1, 0},
+		}, []float64{1, 1, 1, 1, 1.5}), 2, linalg.Vector{0, 0, 0.3}, false},
+		{"infinite-radius", foldedCut(foldMap(t)), math.Inf(1), foldMap(t).T, false},
+		{"refused-steps", cube.WithHalfspace(linalg.Vector{eps, eps, eps}, 0), 1.5, linalg.Vector{-0.2, -0.2, -0.2}, true},
+	} {
+		w, err := NewAxisWalker(c.poly, c.radius, c.start, rng.New(21), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		ref, err := NewAxisWalker(c.poly, c.radius, c.start, rng.New(21), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		resets := rng.New(22)
+		p := make(linalg.Vector, len(c.start))
+		const steps, resetEvery = 100_000, 64
+		for i := 0; i < steps; i++ {
+			if c.reset && i%resetEvery == 0 {
+				for {
+					for k := range p {
+						p[k] = resets.Uniform(-1, 1)
+					}
+					if p.Norm() <= c.radius {
+						break
+					}
+				}
+				for _, v := range []*AxisWalker{w, ref} {
+					copy(v.x, p)
+					v.sync()
+				}
+			}
+			w.Step()
+			referenceAxisStep(ref)
+			if !sameBits(w.x, ref.x) || !sameBits(w.ax, ref.ax) || !sameBits([]float64{w.norm2}, []float64{ref.norm2}) || w.Stats() != ref.Stats() {
+				t.Fatalf("%s: step %d: kernel x=%v ax=%v |x|²=%v %+v, reference x=%v ax=%v |x|²=%v %+v",
+					c.name, i, w.x, w.ax, w.norm2, w.Stats(), ref.x, ref.ax, ref.norm2, ref.Stats())
+			}
+		}
+		st := w.Stats()
+		if st.Accepted == 0 {
+			t.Errorf("%s: no step accepted", c.name)
+		}
+		if c.reset && st.OracleCalls >= 2*st.Steps {
+			t.Errorf("%s: %+v: no step was refused before its proposal", c.name, st)
 		}
 	}
 }

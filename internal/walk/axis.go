@@ -15,9 +15,16 @@ import (
 // H-polytope {x : A x <= b} intersected with the centred ball B(0, R).
 // A step draws an axis e_j uniformly and moves to a uniform point of the
 // chord through the position along it. Along e_j each row's rate A·e_j
-// is column j of A, and the ball's chord is closed form, so a step is
-// two O(m) passes over the rows: no direction draw and no m×d product
-// (Emiris and Fisikopoulos, SoCG 2014).
+// is column j of A, and the ball's chord is closed form, so a step needs
+// no direction draw and no m×d product (Emiris and Fisikopoulos, SoCG
+// 2014). The walker sorts each column's rows once by the sign of their
+// rate: rows with a positive rate bound t from above, rows with a
+// negative rate from below, and rows parallel to the axis only refuse a
+// step whose slack is already negative. A step then clips the chord with
+// one division per non-parallel row, folded into independent min and max
+// accumulators, and tests the proposal in one pass over column j that
+// writes the moved row values into a scratch buffer, which becomes the
+// tracked one when the step is accepted.
 //
 // The walker carries the row values A·x and |x|² along its moves, and
 // every Run recomputes both from the position first, so rounding drift
@@ -30,13 +37,17 @@ import (
 type AxisWalker struct {
 	// cols holds A column by column: cols[j*m+i] = A[i][j].
 	cols []float64
+	// axes[j] is column j with its rows sorted by the sign of A[i][j].
+	axes []axisColumn
 	b    []float64
 	m    int
 	// r2 is the ball's squared radius.
 	r2 float64
-	// x is the position, ax its row values A·x and norm2 its |x|².
+	// x is the position, ax its row values A·x and norm2 its |x|². next
+	// receives a proposal's row values and swaps with ax on acceptance.
 	x     linalg.Vector
 	ax    []float64
+	next  []float64
 	norm2 float64
 	r     *rng.RNG
 	// interrupt and err work as a Walker's (see Config.Interrupt).
@@ -44,6 +55,22 @@ type AxisWalker struct {
 	err       error
 	// Effort counters, kept as a Walker keeps them.
 	steps, accepted, oracle, polls int
+}
+
+// axisColumn is column j of A seen from a step along e_j: the chord
+// [tmin, tmax] is bounded above by slack/rate over upper, below by
+// slack/rate over lower, and a parallel row whose slack b[i] − A[i]·x is
+// below −num.Eps refuses the step, as polytope.ClipChord decides.
+type axisColumn struct {
+	a            []float64 // A[i][j] in row order
+	upper, lower []axisRow // A[i][j] > num.Eps and A[i][j] < −num.Eps
+	parallel     []int     // the other rows
+}
+
+// axisRow is row i's rate A[i][j] along an axis.
+type axisRow struct {
+	i    int
+	rate float64
 }
 
 // NewAxisWalker returns a coordinate hit-and-run walker over
@@ -60,17 +87,33 @@ func NewAxisWalker(poly *polytope.Polytope, radius float64, start linalg.Vector,
 	}
 	w := &AxisWalker{
 		cols:      make([]float64, m*d),
+		axes:      make([]axisColumn, d),
 		b:         poly.B,
 		m:         m,
 		r2:        radius * radius,
 		x:         start.Clone(),
 		ax:        make([]float64, m),
+		next:      make([]float64, m),
 		r:         r,
 		interrupt: interrupt,
 	}
 	for i, row := range poly.A {
 		for j, a := range row {
 			w.cols[j*m+i] = a
+		}
+	}
+	for j := range w.axes {
+		c := &w.axes[j]
+		c.a = w.cols[j*m : (j+1)*m]
+		for i, a := range c.a {
+			switch {
+			case a > num.Eps:
+				c.upper = append(c.upper, axisRow{i, a})
+			case a < -num.Eps:
+				c.lower = append(c.lower, axisRow{i, a})
+			default:
+				c.parallel = append(c.parallel, i)
+			}
 		}
 	}
 	w.sync()
@@ -98,14 +141,23 @@ func (w *AxisWalker) sync() {
 func (w *AxisWalker) Step() {
 	w.steps++
 	j := w.r.Intn(len(w.x))
-	col := w.cols[j*w.m : (j+1)*w.m]
+	c := &w.axes[j]
+	b, ax := w.b, w.ax
 	w.oracle++
-	tmin, tmax := math.Inf(-1), math.Inf(1)
-	var ok bool
-	for i, a := range col {
-		if tmin, tmax, ok = polytope.ClipChord(tmin, tmax, w.b[i]-w.ax[i], a); !ok {
+	for _, i := range c.parallel {
+		if !(b[i]-ax[i] >= -num.Eps) {
 			return
 		}
+	}
+	// min and max are exact, so folding the bounds in any order gives the
+	// chord a row-by-row polytope.ClipChord gives.
+	tmax := math.Inf(1)
+	for _, u := range c.upper {
+		tmax = min(tmax, (b[u.i]-ax[u.i])/u.rate)
+	}
+	tmin := math.Inf(-1)
+	for _, l := range c.lower {
+		tmin = max(tmin, (b[l.i]-ax[l.i])/l.rate)
 	}
 	// |x + t·e_j|² = |x|² + 2t·x_j + t² <= R² for t in −x_j ± √(x_j² − |x|² + R²).
 	xj := w.x[j]
@@ -121,18 +173,19 @@ func (w *AxisWalker) Step() {
 	t := w.r.Uniform(tmin, tmax)
 	// Guard against numerically escaping the body at chord endpoints.
 	w.oracle++
-	for i, a := range col {
-		if w.ax[i]+t*a > w.b[i]+num.Eps {
+	next := w.next[:len(c.a)]
+	for i, a := range c.a {
+		v := ax[i] + t*a
+		if v > b[i]+num.Eps {
 			return
 		}
+		next[i] = v
 	}
 	norm2 := w.norm2 + t*(2*xj+t)
 	if norm2 > w.r2 {
 		return
 	}
-	for i, a := range col {
-		w.ax[i] += t * a
-	}
+	w.ax, w.next = next, ax
 	w.x[j] = xj + t
 	w.norm2 = norm2
 	w.accepted++

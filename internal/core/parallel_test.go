@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/constraint"
 	"repro/internal/num"
@@ -21,7 +23,7 @@ func cubeFactory(d int, lo, hi float64) Factory {
 
 func TestMedianVolume(t *testing.T) {
 	rel := constraint.MustRelation("C", []string{"x", "y", "z"}, constraint.Cube(3, -1, 1))
-	v, err := MedianVolume(rel, 7, 42, fastOpts())
+	v, err := MedianVolume(rel, 7, 42, fastOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +34,49 @@ func TestMedianVolume(t *testing.T) {
 
 func TestMedianVolumeRejectsBadK(t *testing.T) {
 	rel := constraint.MustRelation("C", []string{"x", "y"}, constraint.Cube(2, 0, 1))
-	if _, err := MedianVolume(rel, 0, 1, fastOpts()); err == nil {
+	if _, err := MedianVolume(rel, 0, 1, fastOpts(), nil); err == nil {
 		t.Error("k=0 must fail")
+	}
+}
+
+// TestMedianVolumeFanoutBounded: k = 8 estimators over a width-2
+// fan-out run at most three at a time — one on each slot and one on the
+// caller — every one of them runs once, and the median equals the
+// one-after-another run's bit for bit.
+func TestMedianVolumeFanoutBounded(t *testing.T) {
+	const k = 8
+	var inFlight, peak atomic.Int64
+	var runs [k]atomic.Int64
+	if _, err := medianOf(k, NewFanout(2), func(i int) (float64, error) {
+		runs[i].Add(1)
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(2 * time.Millisecond)
+		return float64(i), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > 3 {
+		t.Errorf("%d estimators in flight at once over a width-2 fan-out, want at most 3", p)
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Errorf("estimator %d ran %d times, want once", i, n)
+		}
+	}
+	rel := constraint.MustRelation("C", []string{"x", "y"}, constraint.Cube(2, 0, 1))
+	want, err := MedianVolume(rel, k, 5, fastOpts(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MedianVolume(rel, k, 5, fastOpts(), NewFanout(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("median over a width-2 fan-out = %v, one after another = %v", got, want)
 	}
 }
 
@@ -48,7 +91,7 @@ func TestMedianVolumeMajorityFailure(t *testing.T) {
 		return context.Canceled
 	}
 	rel := constraint.MustRelation("C", []string{"x", "y"}, constraint.Cube(2, 0, 1))
-	_, err := MedianVolume(rel, 5, 1, opts)
+	_, err := MedianVolume(rel, 5, 1, opts, nil)
 	if err == nil {
 		t.Fatal("all-failing estimators must error")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/constraint"
 	"repro/internal/linalg"
@@ -48,58 +47,63 @@ func PrepareRelation(rel *constraint.Relation, r *rng.RNG, opts Options) (*Prepa
 
 // MedianVolume amplifies the confidence of rel's volume estimate to
 // 1−δ by the classical median powering behind Section 2's ln(1/δ)
-// remark: k independent estimators run concurrently and the median
-// estimate is returned. Estimator i prepares rel and binds its
-// generator from one RNG seeded baseSeed + 1000003·i, so no two share a
-// preparation (k binds of one single-tuple preparation would all return
-// its one preparation-time estimate). With per-run failure probability
+// remark: k independent estimators run over fan (nil = one after
+// another) and the median estimate is returned. Estimator i prepares rel
+// and binds its generator from one RNG seeded baseSeed + 1000003·i, so no
+// two share a preparation (k binds of one single-tuple preparation would
+// all return its one preparation-time estimate), and the result is
+// bit-identical at any fan-out width. With per-run failure probability
 // 1/4, k = 18·ln(1/δ) pushes the failure probability of the median below
 // δ; callers pick k directly to keep budgets explicit. opts.Interrupt,
 // when set, stops every estimator's walks with its error.
-func MedianVolume(rel *constraint.Relation, k int, baseSeed uint64, opts Options) (float64, error) {
+func MedianVolume(rel *constraint.Relation, k int, baseSeed uint64, opts Options, fan *Fanout) (float64, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("core: MedianVolume needs k >= 1")
 	}
-	type res struct {
-		v   float64
-		err error
+	return medianOf(k, fan, func(i int) (float64, error) {
+		r := rng.New(baseSeed + uint64(1000003*i))
+		p, err := PrepareRelationFanout(rel, r, opts, fan)
+		if err != nil {
+			return 0, err
+		}
+		obs, err := p.Bind(r)
+		if err != nil {
+			return 0, err
+		}
+		return obs.Volume()
+	})
+}
+
+// medianOf runs estimate(0), …, estimate(k−1) over fan and returns the
+// median of the estimates that succeeded, provided they are a majority.
+// Every estimator runs: a unit keeps its estimator's error and reports
+// success, because fan stops starting units after a failing one.
+func medianOf(k int, fan *Fanout, estimate func(i int) (float64, error)) (float64, error) {
+	vals := make([]float64, k)
+	errs := make([]error, k)
+	if _, err := fan.each(k, func(i int) error {
+		vals[i], errs[i] = estimate(i)
+		return nil
+	}); err != nil {
+		return 0, err // a panicking estimator
 	}
-	results := make([]res, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := rng.New(baseSeed + uint64(1000003*i))
-			p, err := PrepareRelation(rel, r, opts)
-			var obs Observable
-			if err == nil {
-				obs, err = p.Bind(r)
-			}
-			if err == nil {
-				results[i].v, err = obs.Volume()
-			}
-			results[i].err = err
-		}(i)
-	}
-	wg.Wait()
-	vals := make([]float64, 0, k)
+	ok := vals[:0]
 	var firstErr error
-	for _, r := range results {
-		if r.err != nil {
+	for i, err := range errs {
+		if err != nil {
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = err
 			}
 			continue
 		}
-		vals = append(vals, r.v)
+		ok = append(ok, vals[i])
 	}
 	// The median is meaningful as long as a majority of runs succeeded.
-	if len(vals) <= k/2 {
-		return 0, fmt.Errorf("core: MedianVolume: %d/%d runs failed: %w", k-len(vals), k, firstErr)
+	if len(ok) <= k/2 {
+		return 0, fmt.Errorf("core: MedianVolume: %d/%d runs failed: %w", k-len(ok), k, firstErr)
 	}
-	sort.Float64s(vals)
-	return vals[len(vals)/2], nil
+	sort.Float64s(ok)
+	return ok[len(ok)/2], nil
 }
 
 // PrepareRelationFanout is PrepareRelation with the tuples, and each

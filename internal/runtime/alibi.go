@@ -25,6 +25,7 @@ type PreparedAlibi struct {
 	prunedTuples int
 	fat          *constraint.Relation // the region without degenerate tuples
 	prep         *Prepared            // nil when every region tuple is degenerate
+	fan          *core.Fanout         // the preparation's fan-out, reused by Report's k > 1
 	eps, delta   float64
 }
 
@@ -82,6 +83,7 @@ func PrepareAlibi(relA, relB *constraint.Relation, t0, t1 float64, prepSeed uint
 	pa := &PreparedAlibi{
 		times:  times,
 		window: spacetime.Interval{Lo: t0, Hi: t1},
+		fan:    fan,
 		eps:    p.Eps,
 		delta:  p.Delta,
 	}
@@ -101,8 +103,8 @@ func PrepareAlibi(relA, relB *constraint.Relation, t0, t1 float64, prepSeed uint
 // Report binds seed to the warm meet-region geometry and returns the
 // two-sided alibi verdict. k > 1 amplifies the meeting-volume
 // confidence with core.MedianVolume over the pruned meet region: k
-// independent preparations seeded from seed, whose walks stop when ctx
-// is cancelled. The warm preparation serves k <= 1 only, because k
+// independent preparations seeded from seed, run over the fan-out the
+// region was prepared with, whose walks stop when ctx is cancelled. The warm preparation serves k <= 1 only, because k
 // binds of a single-tuple region would all return its one
 // preparation-time estimate.
 func (pa *PreparedAlibi) Report(ctx context.Context, seed uint64, k int) (*spacetime.Report, error) {
@@ -126,7 +128,7 @@ func (pa *PreparedAlibi) Report(ctx context.Context, seed uint64, k int) (*space
 	} else {
 		opts := pa.prep.Options()
 		opts.Interrupt = ctx.Err
-		vol, err = core.MedianVolume(pa.fat, k, seed, opts)
+		vol, err = core.MedianVolume(pa.fat, k, seed, opts, pa.fan)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("runtime: alibi volume estimate: %w", err)

@@ -161,6 +161,10 @@ func (rt *Runtime) SymbolicCache() *Cache[*SymbolicEntry] { return rt.symbolic }
 // Pool returns the bounded worker pool.
 func (rt *Runtime) Pool() *Pool { return rt.pool }
 
+// Fanout returns the preparation fan-out (PoolSize slots), for the
+// preparations a caller runs outside the caches: median-of-k's.
+func (rt *Runtime) Fanout() *core.Fanout { return rt.fan }
+
 // Costs returns the observed per-key cost table.
 func (rt *Runtime) Costs() *obs.Costs { return rt.costs }
 

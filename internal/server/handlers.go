@@ -457,7 +457,7 @@ func (s *Server) serveVolume(w http.ResponseWriter, r *http.Request, req *volume
 		if err == nil {
 			opts := t.opts
 			opts.Interrupt = r.Context().Err
-			resp.Volume, err = core.MedianVolume(rel, req.MedianK, req.Seed, opts)
+			resp.Volume, err = core.MedianVolume(rel, req.MedianK, req.Seed, opts, s.rt.Fanout())
 		}
 		if err != nil {
 			s.writeError(w, "volume", http.StatusInternalServerError, err)

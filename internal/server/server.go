@@ -53,7 +53,8 @@ type Config struct {
 	MaxSourceBytes int
 	// MaxMedianK caps the median_k amplification factor of /v1/volume
 	// and /v1/spacetime/alibi — each of the k runs pays a full
-	// preparation (default 64).
+	// preparation, on the runtime's PoolSize-wide preparation fan-out
+	// (default 64).
 	MaxMedianK int
 	// MaxDatabases caps the registry size (default 1024).
 	MaxDatabases int

@@ -9,7 +9,7 @@ import (
 
 func TestMedianVolumeFacade(t *testing.T) {
 	rel := cdb.MustRelation("R", []string{"x", "y"}, cdb.Cube(2, 0, 3))
-	v, err := core.MedianVolume(rel, 5, 11, cdb.DefaultOptions())
+	v, err := core.MedianVolume(rel, 5, 11, cdb.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package rounding_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -68,7 +69,10 @@ type stepper interface {
 // in B(0, r_i), radii growing by 1+1/d from the inner to the outer
 // radius), it times a step of the generic hit-and-run walker over
 // IntersectionBody{rows, ball} and of the coordinate kernel
-// (walk.AxisWalker). Besides ns/op (one step) it reports tau_steps, the
+// (walk.AxisWalker). The bare-generic and bare-axis pair walk the rounded
+// polytope alone, as a warm draw does: the generic hit-and-run walker
+// over the polytope and the kernel with an infinite radius, judged by the
+// same indicator. Besides ns/op (one step) it reports tau_steps, the
 // hit indicator's integrated autocorrelation time by batch means over
 // 2²⁰ steps, and ns/eff_sample = tau_steps × ns/op.
 func BenchmarkPhaseWalkMixing(b *testing.B) {
@@ -95,6 +99,12 @@ func BenchmarkPhaseWalkMixing(b *testing.B) {
 			}},
 			{"axis", func(seed uint64) (stepper, error) {
 				return walk.NewAxisWalker(poly, rBig, start, rng.New(seed), nil)
+			}},
+			{"bare-generic", func(seed uint64) (stepper, error) {
+				return walk.New(poly, start, rng.New(seed), walk.Config{Kind: walk.HitAndRun, OuterRadius: ro.OuterRadius})
+			}},
+			{"bare-axis", func(seed uint64) (stepper, error) {
+				return walk.NewAxisWalker(poly, math.Inf(1), start, rng.New(seed), nil)
 			}},
 		} {
 			tau := -1.0

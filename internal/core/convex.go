@@ -315,10 +315,13 @@ func (c *Convex) Sample() (linalg.Vector, error) {
 //
 // When Q(K) is a folded H-polytope and the configured walk is not the
 // grid walk, each pass walks K_i by hit-and-run along uniform coordinate
-// axes (walk.AxisWalker): a step is O(m) with no direction draw, and the
-// uniform distribution on K_i stays stationary. Membership-only bodies
-// and the grid walk keep their Walker over the intersection body. The
-// sampling walker keeps uniform directions.
+// axes (walk.AxisWalker), and the uniform distribution on K_i stays
+// stationary. A step draws no direction: it divides each row's slack by
+// the drawn axis's entry only for the rows that bound the chord, sorted
+// once per walker by the entry's sign, and tests and commits the move in
+// one pass over that column. Membership-only bodies and the grid walk
+// keep their Walker over the intersection body. The sampling walker
+// keeps uniform directions.
 func (c *Convex) Volume() (float64, error) { return c.volume(nil) }
 
 // volume is Volume with the telescoping phases spread over fan.

@@ -104,9 +104,10 @@ func PrepareAlibi(relA, relB *constraint.Relation, t0, t1 float64, prepSeed uint
 // two-sided alibi verdict. k > 1 amplifies the meeting-volume
 // confidence with core.MedianVolume over the pruned meet region: k
 // independent preparations seeded from seed, run over the fan-out the
-// region was prepared with, whose walks stop when ctx is cancelled. The warm preparation serves k <= 1 only, because k
-// binds of a single-tuple region would all return its one
-// preparation-time estimate.
+// region was prepared with, whose walks stop when ctx is cancelled.
+// The warm preparation serves k <= 1 only, because k binds of a
+// single-tuple region would all return its one preparation-time
+// estimate.
 func (pa *PreparedAlibi) Report(ctx context.Context, seed uint64, k int) (*spacetime.Report, error) {
 	rep := &spacetime.Report{
 		SymbolicMeet: len(pa.times) > 0,
